@@ -8,12 +8,21 @@
 //! simultaneously.
 //!
 //! Admission rounds (the WINDOW scheduler in `crates/algos`, the serve
-//! daemon's engine) accept many requests at one decision instant. The
-//! batched [`CapacityLedger::reserve_all`] entry point books a whole round
-//! with the same sequential semantics as repeated
-//! [`reserve`](CapacityLedger::reserve) calls, but defers the per-port
+//! daemon's engine) accept many requests at one decision instant, and free
+//! the reservations that ended since the last one. The batched
+//! [`CapacityLedger::reserve_all`] and [`CapacityLedger::release_all`]
+//! entry points book and free a whole round with the same sequential
+//! semantics as repeated [`reserve`](CapacityLedger::reserve) /
+//! [`cancel`](CapacityLedger::cancel) calls, but defer the per-port
 //! query-index rebuild so each touched port's index is rebuilt once per
-//! round instead of once per reservation.
+//! batch instead of once per reservation.
+//!
+//! **Commit invariant.** Inside this module every profile mutation of a
+//! multi-step operation goes through `allocate_deferred` /
+//! `release_deferred`, and every public method that used them ends with
+//! the private `commit` — on the error paths too. No `&self` query
+//! can therefore meet a stale index: holding `&mut self` for the whole
+//! operation is what keeps readers out until the commit has run.
 
 use crate::error::{NetError, NetResult};
 use crate::partition::{partition_indexed, Partition};
@@ -154,6 +163,18 @@ pub struct ReserveRequest {
     pub bw: Bandwidth,
 }
 
+/// One entry of a [`CapacityLedger::release_all`] batch: which live entry
+/// to free, by the call that would free it on its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReleaseRequest {
+    /// A rigid reservation, as [`CapacityLedger::cancel`] frees it.
+    Reservation(ReservationId),
+    /// A segmented reservation, as [`CapacityLedger::cancel_segments`].
+    Segments(ReservationId),
+    /// A single-port hold, as [`CapacityLedger::release_hold`].
+    Hold(HoldId),
+}
+
 /// Serializable image of a whole ledger — every port profile, the live
 /// reservation table, and the id counter — produced by
 /// [`CapacityLedger::export_state`] and consumed by
@@ -262,7 +283,11 @@ impl CapacityLedger {
         self.live.len()
     }
 
-    /// Iterate over live reservations (arbitrary order).
+    /// Iterate over live reservations, in arbitrary order — one that
+    /// differs between two processes holding the same ledger. A caller
+    /// that releases what it finds must sort the ids first: the order of
+    /// releases is the order of float operations on a profile, and the
+    /// bits left behind depend on it.
     pub fn live_reservations(&self) -> impl Iterator<Item = (ReservationId, &Reservation)> {
         self.live.iter().map(|(&id, r)| (ReservationId(id), r))
     }
@@ -337,7 +362,9 @@ impl CapacityLedger {
         end: Time,
         bw: Bandwidth,
     ) -> NetResult<ReservationId> {
-        self.reserve_inner(route, start, end, bw, false)
+        let out = self.reserve_deferred(route, start, end, bw);
+        self.commit();
+        out
     }
 
     /// Atomically book a whole admission round: each entry is reserved with
@@ -351,33 +378,40 @@ impl CapacityLedger {
     pub fn reserve_all(&mut self, batch: &[ReserveRequest]) -> Vec<NetResult<ReservationId>> {
         let out = batch
             .iter()
-            .map(|r| self.reserve_inner(r.route, r.start, r.end, r.bw, true))
+            .map(|r| self.reserve_deferred(r.route, r.start, r.end, r.bw))
             .collect();
-        for p in self.ingress.iter_mut().chain(self.egress.iter_mut()) {
-            p.commit_index();
-        }
+        self.commit();
         out
     }
 
-    fn reserve_inner(
+    /// Rebuild the query index of every port a deferred mutation touched
+    /// (a flag test on the others). The last step of every mutating
+    /// method; see the module docs.
+    fn commit(&mut self) {
+        for p in self.ingress.iter_mut().chain(self.egress.iter_mut()) {
+            p.commit_index();
+        }
+    }
+
+    /// The profile of one port, whichever side it is on.
+    fn port_mut(&mut self, port: PortRef) -> &mut CapacityProfile {
+        match port {
+            PortRef::In(i) => &mut self.ingress[i.index()],
+            PortRef::Out(e) => &mut self.egress[e.index()],
+        }
+    }
+
+    fn reserve_deferred(
         &mut self,
         route: Route,
         start: Time,
         end: Time,
         bw: Bandwidth,
-        deferred: bool,
     ) -> NetResult<ReservationId> {
         self.validate(route, start, end, bw)?;
         let iidx = route.ingress.index();
         let eidx = route.egress.index();
-        let alloc = |p: &mut CapacityProfile, t0, t1, b| {
-            if deferred {
-                p.allocate_deferred(t0, t1, b)
-            } else {
-                p.allocate(t0, t1, b)
-            }
-        };
-        if let Err(at) = alloc(&mut self.ingress[iidx], start, end, bw) {
+        if let Err(at) = self.ingress[iidx].allocate_deferred(start, end, bw) {
             return Err(NetError::CapacityExceeded {
                 port: PortRef::In(route.ingress),
                 capacity: self.ingress[iidx].capacity(),
@@ -385,14 +419,11 @@ impl CapacityLedger {
                 at,
             });
         }
-        if let Err(at) = alloc(&mut self.egress[eidx], start, end, bw) {
+        if let Err(at) = self.egress[eidx].allocate_deferred(start, end, bw) {
             // Roll back the ingress booking to stay atomic.
-            let rolled_back = if deferred {
-                self.ingress[iidx].release_deferred(start, end, bw)
-            } else {
-                self.ingress[iidx].release(start, end, bw)
-            };
-            rolled_back.expect("rollback of a just-made allocation cannot fail");
+            self.ingress[iidx]
+                .release_deferred(start, end, bw)
+                .expect("rollback of a just-made allocation cannot fail");
             return Err(NetError::CapacityExceeded {
                 port: PortRef::Out(route.egress),
                 capacity: self.egress[eidx].capacity(),
@@ -470,14 +501,24 @@ impl CapacityLedger {
         route: Route,
         segments: &[SegSpan],
     ) -> NetResult<ReservationId> {
+        let out = self.reserve_segments_deferred(route, segments);
+        self.commit();
+        out
+    }
+
+    fn reserve_segments_deferred(
+        &mut self,
+        route: Route,
+        segments: &[SegSpan],
+    ) -> NetResult<ReservationId> {
         self.validate_segments(route, segments)?;
         let iidx = route.ingress.index();
         let eidx = route.egress.index();
         for (k, s) in segments.iter().enumerate() {
-            if let Err(at) = self.ingress[iidx].allocate(s.start, s.end, s.bw) {
+            if let Err(at) = self.ingress[iidx].allocate_deferred(s.start, s.end, s.bw) {
                 for u in segments[..k].iter().rev() {
                     self.ingress[iidx]
-                        .release(u.start, u.end, u.bw)
+                        .release_deferred(u.start, u.end, u.bw)
                         .expect("rollback of a just-made allocation cannot fail");
                 }
                 return Err(NetError::CapacityExceeded {
@@ -489,15 +530,15 @@ impl CapacityLedger {
             }
         }
         for (k, s) in segments.iter().enumerate() {
-            if let Err(at) = self.egress[eidx].allocate(s.start, s.end, s.bw) {
+            if let Err(at) = self.egress[eidx].allocate_deferred(s.start, s.end, s.bw) {
                 for u in segments[..k].iter().rev() {
                     self.egress[eidx]
-                        .release(u.start, u.end, u.bw)
+                        .release_deferred(u.start, u.end, u.bw)
                         .expect("rollback of a just-made allocation cannot fail");
                 }
                 for u in segments.iter().rev() {
                     self.ingress[iidx]
-                        .release(u.start, u.end, u.bw)
+                        .release_deferred(u.start, u.end, u.bw)
                         .expect("rollback of a just-made allocation cannot fail");
                 }
                 return Err(NetError::CapacityExceeded {
@@ -526,6 +567,12 @@ impl CapacityLedger {
     /// guaranteed bit-exactly by restoring pre-cancel clones of the two
     /// port profiles instead of replaying inverse float operations.
     pub fn cancel_segments(&mut self, id: ReservationId) -> NetResult<SegmentedReservation> {
+        let out = self.cancel_segments_deferred(id);
+        self.commit();
+        out
+    }
+
+    fn cancel_segments_deferred(&mut self, id: ReservationId) -> NetResult<SegmentedReservation> {
         let r = self
             .live_seg
             .get(&id.0)
@@ -536,7 +583,7 @@ impl CapacityLedger {
         let ing_snap = self.ingress[iidx].clone();
         let egr_snap = self.egress[eidx].clone();
         for s in &r.segments {
-            if let Err(at) = self.ingress[iidx].release(s.start, s.end, s.bw) {
+            if let Err(at) = self.ingress[iidx].release_deferred(s.start, s.end, s.bw) {
                 self.ingress[iidx] = ing_snap;
                 return Err(NetError::ReleaseUnderflow {
                     port: PortRef::In(r.route.ingress),
@@ -545,7 +592,7 @@ impl CapacityLedger {
             }
         }
         for s in &r.segments {
-            if let Err(at) = self.egress[eidx].release(s.start, s.end, s.bw) {
+            if let Err(at) = self.egress[eidx].release_deferred(s.start, s.end, s.bw) {
                 self.ingress[iidx] = ing_snap;
                 self.egress[eidx] = egr_snap;
                 return Err(NetError::ReleaseUnderflow {
@@ -582,20 +629,20 @@ impl CapacityLedger {
         let result = (|| -> NetResult<()> {
             for s in &old_segments {
                 self.ingress[iidx]
-                    .release(s.start, s.end, s.bw)
+                    .release_deferred(s.start, s.end, s.bw)
                     .map_err(|at| NetError::ReleaseUnderflow {
                         port: PortRef::In(route.ingress),
                         at,
                     })?;
                 self.egress[eidx]
-                    .release(s.start, s.end, s.bw)
+                    .release_deferred(s.start, s.end, s.bw)
                     .map_err(|at| NetError::ReleaseUnderflow {
                         port: PortRef::Out(route.egress),
                         at,
                     })?;
             }
             for s in new_segments {
-                if let Err(at) = self.ingress[iidx].allocate(s.start, s.end, s.bw) {
+                if let Err(at) = self.ingress[iidx].allocate_deferred(s.start, s.end, s.bw) {
                     return Err(NetError::CapacityExceeded {
                         port: PortRef::In(route.ingress),
                         capacity: self.ingress[iidx].capacity(),
@@ -603,7 +650,7 @@ impl CapacityLedger {
                         at,
                     });
                 }
-                if let Err(at) = self.egress[eidx].allocate(s.start, s.end, s.bw) {
+                if let Err(at) = self.egress[eidx].allocate_deferred(s.start, s.end, s.bw) {
                     return Err(NetError::CapacityExceeded {
                         port: PortRef::Out(route.egress),
                         capacity: self.egress[eidx].capacity(),
@@ -616,6 +663,7 @@ impl CapacityLedger {
         })();
         match result {
             Ok(()) => {
+                self.commit();
                 self.live_seg
                     .get_mut(&id.0)
                     .expect("checked above")
@@ -623,6 +671,7 @@ impl CapacityLedger {
                 Ok(())
             }
             Err(e) => {
+                // The snapshots were taken committed, index and all.
                 self.ingress[iidx] = ing_snap;
                 self.egress[eidx] = egr_snap;
                 Err(e)
@@ -664,20 +713,27 @@ impl CapacityLedger {
     /// capacity is never charged for a reservation the ledger has
     /// forgotten.
     pub fn cancel(&mut self, id: ReservationId) -> NetResult<Reservation> {
+        let out = self.cancel_deferred(id);
+        self.commit();
+        out
+    }
+
+    fn cancel_deferred(&mut self, id: ReservationId) -> NetResult<Reservation> {
         let r = *self
             .live
             .get(&id.0)
             .ok_or(NetError::UnknownReservation(id.0))?;
         self.ingress[r.route.ingress.index()]
-            .release(r.start, r.end, r.bw)
+            .release_deferred(r.start, r.end, r.bw)
             .map_err(|at| NetError::ReleaseUnderflow {
                 port: PortRef::In(r.route.ingress),
                 at,
             })?;
-        if let Err(at) = self.egress[r.route.egress.index()].release(r.start, r.end, r.bw) {
+        if let Err(at) = self.egress[r.route.egress.index()].release_deferred(r.start, r.end, r.bw)
+        {
             // Re-charge the ingress so the failed cancel is a no-op.
             self.ingress[r.route.ingress.index()]
-                .allocate(r.start, r.end, r.bw)
+                .allocate_deferred(r.start, r.end, r.bw)
                 .expect("rollback of a just-made release cannot overflow");
             return Err(NetError::ReleaseUnderflow {
                 port: PortRef::Out(r.route.egress),
@@ -686,6 +742,32 @@ impl CapacityLedger {
         }
         self.live.remove(&id.0);
         Ok(r)
+    }
+
+    /// Free a whole batch of live entries: each one is released with
+    /// exactly the semantics of its own call — [`cancel`](Self::cancel),
+    /// [`cancel_segments`](Self::cancel_segments) or
+    /// [`release_hold`](Self::release_hold) — in batch order, so every
+    /// profile sees the float operations of the one-by-one sequence and
+    /// ends on the same bits; but every touched port's query index is
+    /// rebuilt once at the end of the batch instead of once per release.
+    /// The counterpart of [`reserve_all`](Self::reserve_all) for the
+    /// per-round expiry sweep.
+    ///
+    /// Returns one result per entry, in order. A failed entry frees
+    /// nothing and stays live, as its own call's contract says; successes
+    /// before and after it stand.
+    pub fn release_all(&mut self, batch: &[ReleaseRequest]) -> Vec<NetResult<()>> {
+        let out = batch
+            .iter()
+            .map(|&r| match r {
+                ReleaseRequest::Reservation(id) => self.cancel_deferred(id).map(drop),
+                ReleaseRequest::Segments(id) => self.cancel_segments_deferred(id).map(drop),
+                ReleaseRequest::Hold(id) => self.release_hold_deferred(id).map(drop),
+            })
+            .collect();
+        self.commit();
+        out
     }
 
     /// Shrink a live reservation's end time (early completion). The freed
@@ -803,13 +885,15 @@ impl CapacityLedger {
     /// Like [`cancel`](Self::cancel), a failing release (corrupted
     /// profile) leaves the ledger unchanged: the hold stays live.
     pub fn release_hold(&mut self, id: HoldId) -> NetResult<PortHold> {
+        let out = self.release_hold_deferred(id);
+        self.commit();
+        out
+    }
+
+    fn release_hold_deferred(&mut self, id: HoldId) -> NetResult<PortHold> {
         let h = *self.holds.get(&id.0).ok_or(NetError::UnknownHold(id.0))?;
-        let profile = match h.port {
-            PortRef::In(i) => &mut self.ingress[i.index()],
-            PortRef::Out(e) => &mut self.egress[e.index()],
-        };
-        profile
-            .release(h.start, h.end, h.bw)
+        self.port_mut(h.port)
+            .release_deferred(h.start, h.end, h.bw)
             .map_err(|at| NetError::ReleaseUnderflow { port: h.port, at })?;
         self.holds.remove(&id.0);
         Ok(h)
@@ -894,10 +978,10 @@ impl CapacityLedger {
                 // Charge entirely below the cut just vanishes with the
                 // truncation — no release needed.
                 self.ingress[r.route.ingress.index()]
-                    .release(r.start, r.end, r.bw)
+                    .release_deferred(r.start, r.end, r.bw)
                     .expect("live reservation charge must be releasable");
                 self.egress[r.route.egress.index()]
-                    .release(r.start, r.end, r.bw)
+                    .release_deferred(r.start, r.end, r.bw)
                     .expect("live reservation charge must be releasable");
             }
             stats.reservations_collected += 1;
@@ -916,10 +1000,10 @@ impl CapacityLedger {
             for s in &r.segments {
                 if s.end > cut {
                     self.ingress[r.route.ingress.index()]
-                        .release(s.start, s.end, s.bw)
+                        .release_deferred(s.start, s.end, s.bw)
                         .expect("live segment charge must be releasable");
                     self.egress[r.route.egress.index()]
-                        .release(s.start, s.end, s.bw)
+                        .release_deferred(s.start, s.end, s.bw)
                         .expect("live segment charge must be releasable");
                 }
             }
@@ -935,12 +1019,8 @@ impl CapacityLedger {
         for id in expired_holds {
             let h = self.holds.remove(&id).expect("selected above");
             if h.end > cut {
-                let profile = match h.port {
-                    PortRef::In(i) => &mut self.ingress[i.index()],
-                    PortRef::Out(e) => &mut self.egress[e.index()],
-                };
-                profile
-                    .release(h.start, h.end, h.bw)
+                self.port_mut(h.port)
+                    .release_deferred(h.start, h.end, h.bw)
                     .expect("live hold charge must be releasable");
             }
             stats.holds_collected += 1;
@@ -948,6 +1028,9 @@ impl CapacityLedger {
         for p in self.ingress.iter_mut().chain(self.egress.iter_mut()) {
             stats.breakpoints_dropped += p.truncate_before(cut);
         }
+        // A truncation that dropped something rebuilt the index already;
+        // this is for the ports where it found nothing to drop.
+        self.commit();
         stats
     }
 
@@ -1337,9 +1420,7 @@ impl CapacityLedger {
         // Commit every profile, exactly like `reserve_all`. Ports outside
         // the batch already have a fresh index (commit is a no-op there);
         // ports inside it were committed shard-side before the merge.
-        for p in self.ingress.iter_mut().chain(self.egress.iter_mut()) {
-            p.commit_index();
-        }
+        self.commit();
         // Ids in batch order over the successes = the sequential numbering.
         batch
             .iter()
@@ -1792,6 +1873,76 @@ mod tests {
         l.cancel(id).unwrap();
         assert!(l.get(id).is_none());
         assert!(l.ingress_profile(IngressId(0)).is_empty());
+    }
+
+    #[test]
+    fn a_failed_release_mid_batch_stays_live_and_the_rest_are_freed() {
+        let mut l = small();
+        let a = l.reserve(Route::new(0, 0), 0.0, 10.0, 30.0).unwrap();
+        let b = l.reserve(Route::new(0, 1), 0.0, 10.0, 60.0).unwrap();
+        let c = l.reserve(Route::new(1, 1), 5.0, 15.0, 20.0).unwrap();
+        let plan = [seg(0.0, 4.0, 10.0), seg(6.0, 9.0, 15.0)];
+        let d = l.reserve_segments(Route::new(1, 0), &plan).unwrap();
+        // Corrupt two egress profiles behind the ledger's back: `b`'s
+        // release underflows on egress 1 after its ingress side went
+        // through, `d`'s second segment on egress 0 after its whole
+        // ingress side and its first egress segment did.
+        l.egress[1].release(0.0, 10.0, 60.0).unwrap();
+        l.egress[0].release(6.0, 9.0, 15.0).unwrap();
+        let mut one_by_one = l.clone();
+        let batch = [
+            ReleaseRequest::Reservation(a),
+            ReleaseRequest::Reservation(b),
+            ReleaseRequest::Segments(d),
+            ReleaseRequest::Reservation(c),
+        ];
+        let results = l.release_all(&batch);
+        let expected = vec![
+            one_by_one.cancel(a).map(drop),
+            one_by_one.cancel(b).map(drop),
+            one_by_one.cancel_segments(d).map(drop),
+            one_by_one.cancel(c).map(drop),
+        ];
+        assert_eq!(results, expected);
+        assert!(results[0].is_ok() && results[3].is_ok());
+        assert!(matches!(
+            results[1],
+            Err(NetError::ReleaseUnderflow {
+                port: PortRef::Out(EgressId(1)),
+                ..
+            })
+        ));
+        assert!(matches!(
+            results[2],
+            Err(NetError::ReleaseUnderflow {
+                port: PortRef::Out(EgressId(0)),
+                ..
+            })
+        ));
+        // The failed entries are still live and still charged where they
+        // were (no phantom capacity); the others are gone.
+        assert!(l.get(a).is_none() && l.get(c).is_none());
+        assert!(l.get(b).is_some() && l.get_segments(d).is_some());
+        assert_eq!(l.ingress_profile(IngressId(0)).alloc_at(5.0), 60.0);
+        assert_eq!(l.ingress_profile(IngressId(1)).alloc_at(2.0), 10.0);
+        assert_eq!(l.ingress_profile(IngressId(1)).alloc_at(7.0), 15.0);
+        assert_eq!(l.egress_profile(EgressId(0)).alloc_at(2.0), 10.0);
+        // Every index was committed: the indexed reads agree with the
+        // scans, and with the ledger that released one call at a time.
+        for (p, q) in (l.ingress.iter().chain(&l.egress))
+            .zip(one_by_one.ingress.iter().chain(&one_by_one.egress))
+        {
+            assert_eq!(p, q);
+            assert_eq!(p.max_alloc(0.0, 20.0), p.max_alloc_linear(0.0, 20.0));
+            assert_eq!(p.free_volume(0.0, 20.0), p.free_volume_linear(0.0, 20.0));
+        }
+        // Mend the profiles; the retried batch frees what was left.
+        l.egress[1].allocate(0.0, 10.0, 60.0).unwrap();
+        l.egress[0].allocate(6.0, 9.0, 15.0).unwrap();
+        let retry = l.release_all(&batch);
+        assert!(retry[0].is_err() && retry[3].is_err(), "already freed");
+        assert!(retry[1].is_ok() && retry[2].is_ok());
+        assert!(l.ingress.iter().chain(&l.egress).all(|p| p.is_empty()));
     }
 
     #[test]

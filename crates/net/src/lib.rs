@@ -53,8 +53,8 @@ pub mod units;
 
 pub use error::{NetError, NetResult};
 pub use ledger::{
-    CapacityLedger, GcStats, HoldId, LedgerState, PortHold, Reservation, ReservationId,
-    ReserveRequest, SegSpan, SegmentedReservation, SubLedger,
+    CapacityLedger, GcStats, HoldId, LedgerState, PortHold, ReleaseRequest, Reservation,
+    ReservationId, ReserveRequest, SegSpan, SegmentedReservation, SubLedger,
 };
 pub use partition::{
     default_admit_threads, partition_indexed, partition_routes, Component, Partition,

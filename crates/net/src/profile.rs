@@ -23,9 +23,12 @@
 //! (`earliest_fit` is `O(log k)` per busy period skipped) instead of the
 //! previous `O(k)` scans. Mutations (`allocate` / `release`) remain `O(k)`
 //! — they splice the breakpoint vector and then rebuild the index — and the
-//! `pub(crate)` `*_deferred` variants let [`crate::CapacityLedger`] batch a
-//! whole admission round and rebuild each touched index once
-//! ([`crate::CapacityLedger::reserve_all`]).
+//! `pub(crate)` `*_deferred` variants let [`crate::CapacityLedger`] run a
+//! whole multi-step mutation (an admission round, an expiry sweep, a
+//! stepwise plan) and rebuild each touched index once, when it commits.
+//! The prefix areas behind [`free_volume`](CapacityProfile::free_volume)
+//! are not part of that rebuild: they are built by the first `free_volume`
+//! after a mutation and kept until the next one.
 //!
 //! The pre-index linear scans are kept as `*_linear` reference
 //! implementations. They are the ground truth for the differential property
@@ -36,6 +39,7 @@
 
 use crate::units::{approx_le, definitely_gt, snap_nonneg, Bandwidth, Time, EPS};
 use serde::{de_field, Deserialize, Error as SerdeError, Serialize, Value};
+use std::sync::OnceLock;
 
 /// One step of the profile: the allocation level holds from `time` until the
 /// next breakpoint (or forever, for the last one).
@@ -66,42 +70,59 @@ struct ProfileIndex {
     /// `area[i]` = `∫ alloc` from `points[0].time` to `points[i].time`,
     /// accumulated strictly left-to-right so the cached prefix is
     /// bit-identical to a fresh linear scan over the same breakpoints
-    /// (the `free_volume` / `free_volume_linear` twin contract).
-    area: Vec<f64>,
+    /// (the `free_volume` / `free_volume_linear` twin contract). Only
+    /// `free_volume` reads it, so it is filled by the first such read
+    /// after a mutation emptied it, not by every rebuild; the `OnceLock`
+    /// lets that happen behind `&self` from any thread.
+    area: OnceLock<Vec<f64>>,
 }
 
 impl ProfileIndex {
-    /// Rebuild both aggregate arrays from scratch. `O(k)`.
+    /// Rebuild both aggregate arrays from scratch and forget the prefix
+    /// areas. `O(k)`.
     fn rebuild(&mut self, points: &[Breakpoint]) {
+        self.area.take();
         let n = points.len();
-        if n == 0 {
-            self.size = 0;
-            self.max.clear();
-            self.min.clear();
-            self.area.clear();
-            return;
-        }
-        self.area.clear();
-        self.area.reserve(n);
-        let mut acc = 0.0_f64;
-        self.area.push(acc);
-        for w in points.windows(2) {
-            acc += w[0].alloc * (w[1].time - w[0].time);
-            self.area.push(acc);
-        }
-        let size = n.next_power_of_two();
+        let size = match n {
+            0 => 0,
+            _ => n.next_power_of_two(),
+        };
         self.size = size;
-        self.max.clear();
-        self.max.resize(2 * size, f64::NEG_INFINITY);
-        self.min.clear();
-        self.min.resize(2 * size, f64::INFINITY);
-        for (i, p) in points.iter().enumerate() {
-            self.max[size + i] = p.alloc;
-            self.min[size + i] = p.alloc;
+        for (tree, pad) in [
+            (&mut self.max, f64::NEG_INFINITY),
+            (&mut self.min, f64::INFINITY),
+        ] {
+            // Every node in use is written below — leaves and padding here,
+            // internal nodes by `fill_levels` — so what a same-sized tree
+            // held before need not be cleared first. (Node 0 is unused.)
+            tree.resize(2 * size, pad);
+            let (leaves, padding) = tree[size..].split_at_mut(n);
+            for (leaf, p) in leaves.iter_mut().zip(points) {
+                *leaf = p.alloc;
+            }
+            padding.fill(pad);
         }
-        for i in (1..size).rev() {
-            self.max[i] = self.max[2 * i].max(self.max[2 * i + 1]);
-            self.min[i] = self.min[2 * i].min(self.min[2 * i + 1]);
+        // Compare-select, not `f64::max`/`min`: those must also order NaN,
+        // which keeps the loops scalar. A level is never NaN — every
+        // mutation and `from_breakpoints` leave finite levels, the padding
+        // is ±∞ — and without NaN both forms pick the same value.
+        Self::fill_levels(&mut self.max, size, |a, b| if a > b { a } else { b });
+        Self::fill_levels(&mut self.min, size, |a, b| if a < b { a } else { b });
+    }
+
+    /// Fill the internal nodes of one tree from its leaves, a level at a
+    /// time from the bottom: the nodes of a level are contiguous, so each
+    /// pass is a straight loop over two slices that the compiler can
+    /// vectorise.
+    fn fill_levels(tree: &mut [f64], size: usize, pick: impl Fn(f64, f64) -> f64) {
+        let mut width = size;
+        while width > 1 {
+            let (parents, children) = tree.split_at_mut(width);
+            let pairs = children[..width].chunks_exact(2);
+            for (p, c) in parents[width / 2..].iter_mut().zip(pairs) {
+                *p = pick(c[0], c[1]);
+            }
+            width /= 2;
         }
     }
 
@@ -181,8 +202,9 @@ impl ProfileIndex {
 /// * the level before the first breakpoint and after the last one is 0;
 /// * adjacent breakpoints never carry the same level (the representation is
 ///   canonical);
-/// * the segment-tree index mirrors the breakpoint vector except inside a
-///   deferred batch (see [`crate::CapacityLedger::reserve_all`]).
+/// * the segment-tree index mirrors the breakpoint vector except between a
+///   `*_deferred` mutation and the [`commit_index`](Self::commit_index)
+///   that every [`crate::CapacityLedger`] operation ends with.
 #[derive(Debug, Clone)]
 pub struct CapacityProfile {
     capacity: Bandwidth,
@@ -349,9 +371,9 @@ impl CapacityProfile {
         self.dirty = false;
     }
 
-    /// Rebuild the index if a deferred mutation left it stale. Called by
-    /// [`crate::CapacityLedger::reserve_all`] once per touched port at the
-    /// end of a batch.
+    /// Rebuild the index if a deferred mutation left it stale. Every
+    /// [`crate::CapacityLedger`] operation that mutates through the
+    /// `*_deferred` variants calls this once per port before it returns.
     pub(crate) fn commit_index(&mut self) {
         if self.dirty {
             self.rebuild_index();
@@ -469,16 +491,26 @@ impl CapacityProfile {
         }
     }
 
-    /// Remove redundant breakpoints (equal consecutive levels, zero head).
-    fn canonicalize(&mut self) {
-        let mut prev_level = 0.0_f64;
-        self.points.retain(|p| {
-            let keep = p.alloc != prev_level;
-            if keep {
+    /// Remove the redundant breakpoints (a level equal to the one before
+    /// it, a zero head) among `points[i0..=i1]` after the levels of
+    /// `points[i0..i1]` changed. The profile was canonical before, and a
+    /// breakpoint outside that range kept both its level and the level
+    /// before it, so only those can have become redundant.
+    fn canonicalize(&mut self, i0: usize, i1: usize) {
+        let mut prev_level = match i0 {
+            0 => 0.0,
+            _ => self.points[i0 - 1].alloc,
+        };
+        let mut kept = i0;
+        for i in i0..=i1 {
+            let p = self.points[i];
+            if p.alloc != prev_level {
                 prev_level = p.alloc;
+                self.points[kept] = p;
+                kept += 1;
             }
-            keep
-        });
+        }
+        self.points.drain(kept..=i1);
     }
 
     /// Add `bw` on `[t0, t1)`, failing without modification if the port
@@ -592,9 +624,12 @@ impl CapacityProfile {
             }
             p.alloc = level;
         }
-        self.canonicalize();
+        self.canonicalize(i0, i1);
         self.debug_check();
         if deferred {
+            // The prefix areas do not wait for the commit: `free_volume`
+            // rebuilds them from the breakpoints whenever they are gone.
+            self.index.area.take();
             self.dirty = true;
         } else {
             self.rebuild_index();
@@ -832,7 +867,8 @@ impl CapacityProfile {
     /// in MB. This is the upper bound on what any allocation — constant or
     /// stepwise — could still push through the port inside the window, and
     /// the quantity the malleable solver prechecks instead of rescanning
-    /// breakpoints. `O(log k)` via the prefix areas cached in the index.
+    /// breakpoints. `O(log k)` via the prefix areas cached in the index;
+    /// the first call after a mutation builds them, `O(k)`.
     ///
     /// An empty or reversed window yields 0.
     pub fn free_volume(&self, t0: Time, t1: Time) -> f64 {
@@ -849,8 +885,22 @@ impl CapacityProfile {
     fn area_to_indexed(&self, t: Time) -> f64 {
         match self.step_index(t) {
             None => 0.0,
-            Some(i) => self.index.area[i] + self.points[i].alloc * (t - self.points[i].time),
+            Some(i) => self.prefix_areas()[i] + self.points[i].alloc * (t - self.points[i].time),
         }
+    }
+
+    /// The cached prefix areas, accumulated now if a mutation dropped them
+    /// — by the additions of [`area_to_linear`](Self::area_to_linear), in
+    /// its order.
+    fn prefix_areas(&self) -> &[f64] {
+        self.index.area.get_or_init(|| {
+            let mut acc = 0.0_f64;
+            let steps = self.points.windows(2).map(|w| {
+                acc += w[0].alloc * (w[1].time - w[0].time);
+                acc
+            });
+            std::iter::once(0.0).chain(steps).collect()
+        })
     }
 
     /// Reference implementation of [`free_volume`](Self::free_volume): the

@@ -1,7 +1,7 @@
 //! Differential property tests: the segment-tree-indexed profile queries
 //! must give **bit-identical** answers to the `*_linear` reference scans,
-//! and the batched ledger path must be indistinguishable from sequential
-//! reserves.
+//! and the batched ledger paths must be indistinguishable from sequential
+//! reserves and one-by-one releases.
 //!
 //! Equivalence here is non-negotiable: the indexed hot path replaces the
 //! linear implementation underneath every scheduler, so any divergence —
@@ -12,9 +12,11 @@
 
 use gridband_net::units::EPS;
 use gridband_net::{
-    CapacityLedger, CapacityProfile, EgressId, IngressId, ReserveRequest, Route, Topology,
+    CapacityLedger, CapacityProfile, EgressId, HoldId, IngressId, PortRef, ReleaseRequest,
+    ReservationId, ReserveRequest, Route, SegSpan, Topology,
 };
 use proptest::prelude::*;
+use std::sync::Barrier;
 
 /// A time on a coarse grid, nudged by a handful of ε/2 steps so interval
 /// endpoints land exactly on, just under, and just over each other.
@@ -74,6 +76,11 @@ fn assert_queries_match(p: &CapacityProfile, probes: &[(f64, f64, f64)]) {
             p.fits_linear(t0, t1, bw),
             "fits [{t0}, {t1}) bw={bw}"
         );
+        assert_eq!(
+            p.free_volume(t0, t1).to_bits(),
+            p.free_volume_linear(t0, t1).to_bits(),
+            "free_volume [{t0}, {t1})"
+        );
         let dur = (t1 - t0).max(0.25);
         for latest in [t1, 5_000.0, f64::INFINITY] {
             assert_eq!(
@@ -81,6 +88,30 @@ fn assert_queries_match(p: &CapacityProfile, probes: &[(f64, f64, f64)]) {
                 p.earliest_fit_linear(t0, dur, bw, latest),
                 "earliest_fit after={t0} dur={dur} bw={bw} latest={latest}"
             );
+        }
+    }
+}
+
+/// Every port of two ledgers holds the same breakpoints to the bit, in
+/// canonical form, and answers the probes like its linear oracles.
+fn assert_ledgers_match(a: &CapacityLedger, b: &CapacityLedger, probes: &[(f64, f64, f64)]) {
+    let bits = |p: &CapacityProfile| -> Vec<(u64, u64)> {
+        (p.breakpoints().iter())
+            .map(|b| (b.time.to_bits(), b.alloc.to_bits()))
+            .collect()
+    };
+    for i in 0..3u32 {
+        for (pa, pb) in [
+            (
+                a.ingress_profile(IngressId(i)),
+                b.ingress_profile(IngressId(i)),
+            ),
+            (a.egress_profile(EgressId(i)), b.egress_profile(EgressId(i))),
+        ] {
+            assert_eq!(bits(pa), bits(pb), "port {i} diverged");
+            assert_canonical(pa);
+            assert_queries_match(pa, probes);
+            assert_queries_match(pb, probes);
         }
     }
 }
@@ -192,6 +223,132 @@ proptest! {
             prop_assert_eq!(be, se, "egress profile {} diverged", i);
             assert_canonical(be);
         }
+    }
+
+    /// A `release_all` batch is indistinguishable from the same releases
+    /// made one by one with `cancel` / `cancel_segments` / `release_hold`:
+    /// same per-entry outcome — unknown and repeated ids fail in both and
+    /// disturb nothing — and bit-identical breakpoints on every port, at
+    /// every round of a random interleaving of bookings (rigid batches,
+    /// stepwise plans, holds) and releases. The probes run between rounds,
+    /// so `free_volume` builds its prefix areas, the next round's mutations
+    /// must drop them, and the next probes read rebuilt ones.
+    #[test]
+    fn release_all_equals_one_by_one_releases(
+        rounds in prop::collection::vec(
+            (
+                prop::collection::vec((0u32..3, 0u32..3, arb_op(), 0u32..6), 1..8),
+                prop::collection::vec((0usize..64, 0u32..8), 0..10),
+            ),
+            1..8
+        ),
+        probes in prop::collection::vec(arb_op(), 1..5),
+    ) {
+        let topo = Topology::uniform(3, 3, 220.0);
+        let mut batched = CapacityLedger::new(topo.clone());
+        let mut one_by_one = CapacityLedger::new(topo);
+        let mut live: Vec<ReleaseRequest> = Vec::new();
+        for (bookings, picks) in &rounds {
+            for &(i, e, (t0, t1, bw), kind) in bookings {
+                let route = Route::new(i, e);
+                let booked = match kind {
+                    // A hold on one port of the route.
+                    0 => {
+                        let port = PortRef::In(IngressId(i));
+                        let (b, s) = (batched.hold(port, t0, t1, bw), one_by_one.hold(port, t0, t1, bw));
+                        prop_assert_eq!(b.is_ok(), s.is_ok());
+                        b.ok().map(ReleaseRequest::Hold)
+                    }
+                    // A two-step plan: half the rate, a gap, the full rate.
+                    1 | 2 => {
+                        let third = (t1 - t0) / 3.0;
+                        let plan = [
+                            SegSpan { start: t0, end: t0 + third, bw: bw / 2.0 },
+                            SegSpan { start: t1 - third, end: t1, bw },
+                        ];
+                        let (b, s) = (
+                            batched.reserve_segments(route, &plan),
+                            one_by_one.reserve_segments(route, &plan),
+                        );
+                        prop_assert_eq!(b.is_ok(), s.is_ok());
+                        b.ok().map(ReleaseRequest::Segments)
+                    }
+                    _ => {
+                        let (b, s) = (
+                            batched.reserve(route, t0, t1, bw),
+                            one_by_one.reserve(route, t0, t1, bw),
+                        );
+                        prop_assert_eq!(b.is_ok(), s.is_ok());
+                        b.ok().map(ReleaseRequest::Reservation)
+                    }
+                };
+                live.extend(booked);
+            }
+            assert_ledgers_match(&batched, &one_by_one, &probes);
+
+            // The batch: live entries (some picked twice, so the repeat
+            // fails), and now and then an id that never existed.
+            let mut batch = Vec::new();
+            for &(sel, odd) in picks {
+                match odd {
+                    0 => batch.push(ReleaseRequest::Reservation(ReservationId(1 << 40))),
+                    1 => batch.push(ReleaseRequest::Hold(HoldId(1 << 40))),
+                    _ if live.is_empty() => {}
+                    2 => batch.push(live[sel % live.len()]),
+                    _ => batch.push(live.swap_remove(sel % live.len())),
+                }
+            }
+            let results = batched.release_all(&batch);
+            prop_assert_eq!(results.len(), batch.len());
+            for (req, b) in batch.iter().zip(&results) {
+                let s = match *req {
+                    ReleaseRequest::Reservation(id) => one_by_one.cancel(id).map(drop),
+                    ReleaseRequest::Segments(id) => one_by_one.cancel_segments(id).map(drop),
+                    ReleaseRequest::Hold(id) => one_by_one.release_hold(id).map(drop),
+                };
+                prop_assert_eq!(b, &s, "outcome of {:?} diverged", req);
+                if s.is_ok() {
+                    live.retain(|l| l != req);
+                }
+            }
+            prop_assert_eq!(batched.live_count(), one_by_one.live_count());
+            prop_assert_eq!(batched.seg_count(), one_by_one.seg_count());
+            prop_assert_eq!(batched.hold_count(), one_by_one.hold_count());
+            assert_ledgers_match(&batched, &one_by_one, &probes);
+        }
+    }
+
+    /// Two threads asking a freshly mutated profile for `free_volume` at
+    /// the same moment — whichever builds the prefix areas, both read the
+    /// linear oracle's bits.
+    #[test]
+    fn concurrent_free_volume_matches_linear(
+        ops in prop::collection::vec(arb_op(), 1..30),
+        probes in prop::collection::vec(arb_op(), 2..6),
+    ) {
+        let mut p = CapacityProfile::new(180.0);
+        for (t0, t1, bw) in ops {
+            let _ = p.allocate(t0, t1, bw);
+        }
+        let expected: Vec<u64> = (probes.iter())
+            .map(|&(t0, t1, _)| p.free_volume_linear(t0, t1).to_bits())
+            .collect();
+        let start = Barrier::new(2);
+        std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        (probes.iter())
+                            .map(|&(t0, t1, _)| p.free_volume(t0, t1).to_bits())
+                            .collect::<Vec<u64>>()
+                    })
+                })
+                .collect();
+            for r in readers {
+                assert_eq!(r.join().expect("reader panicked"), expected);
+            }
+        });
     }
 
     /// Serialization round-trips the profile exactly, and the rebuilt index

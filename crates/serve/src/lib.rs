@@ -13,6 +13,7 @@
 //! recovery-equivalence tests in `tests/`.
 
 pub mod engine;
+mod history;
 pub mod metrics;
 pub mod protocol;
 pub mod server;

@@ -13,16 +13,18 @@
 //! engine loop, while replay reports its counts through [`ReplayTally`]
 //! so each consumer can fold them into its own registry (or ignore them).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 
 use gridband_net::{
-    CapacityLedger, HoldId, NetResult, PortHold, PortRef, ReservationId, Route, Topology,
+    CapacityLedger, HoldId, NetResult, PortHold, PortRef, ReleaseRequest, ReservationId, Route,
+    Topology,
 };
 use gridband_store::{
     EngineSnapshot, HoldState, RequestOutcome, RoundDecision, StoreError, StoreResult, WalRecord,
     SNAPSHOT_VERSION,
 };
 
+use crate::history::OutcomeHistory;
 use crate::protocol::ReqState;
 
 /// Counts accumulated while replaying a snapshot + WAL tail. The replay
@@ -88,9 +90,8 @@ pub struct EngineHold {
 /// The engine state that snapshots persist and WAL replay rebuilds.
 ///
 /// Fields the engine's hot paths read every round are public; the
-/// decided-request maps stay private behind the accessors so the
-/// record-state/eviction invariant (`history` mirrors `states`' keys in
-/// FIFO order) cannot be broken from outside.
+/// decided-request history and the owner maps stay private behind the
+/// accessors.
 #[derive(Debug)]
 pub struct EngineState {
     /// Live port capacity profiles and reservations.
@@ -103,12 +104,8 @@ pub struct EngineState {
     pub rounds: u64,
     /// Admission interval `t_step`.
     step: f64,
-    /// Decided-request history bound (older entries evicted FIFO).
-    history_capacity: usize,
-    /// Decided states for `Query`.
-    states: HashMap<u64, ReqState>,
-    /// FIFO eviction order of `states`.
-    history: VecDeque<u64>,
+    /// Decided states for `Query`, the oldest evicted beyond the bound.
+    history: OutcomeHistory,
     /// Accepted client id → live reservation (for `Cancel` / GC).
     accepted_res: HashMap<u64, ReservationId>,
     /// Reverse map: reservation id → client id.
@@ -129,9 +126,7 @@ impl EngineState {
             next_tick: step,
             rounds: 0,
             step,
-            history_capacity,
-            states: HashMap::new(),
-            history: VecDeque::new(),
+            history: OutcomeHistory::new(history_capacity),
             accepted_res: HashMap::new(),
             res_owner: HashMap::new(),
             holds: BTreeMap::new(),
@@ -152,6 +147,7 @@ impl EngineState {
         self.now = snap.now;
         self.next_tick = snap.next_tick;
         self.rounds = snap.rounds;
+        self.history.reserve(snap.states.len());
         for (id, outcome) in snap.states {
             let state = match outcome {
                 RequestOutcome::Accepted => ReqState::Accepted,
@@ -374,14 +370,14 @@ impl EngineState {
         let states = self
             .history
             .iter()
-            .filter_map(|id| {
-                let outcome = match self.states.get(id)? {
+            .filter_map(|(id, state)| {
+                let outcome = match state {
                     ReqState::Accepted => RequestOutcome::Accepted,
                     ReqState::Rejected => RequestOutcome::Rejected,
                     ReqState::Cancelled => RequestOutcome::Cancelled,
                     ReqState::Pending | ReqState::Unknown => return None,
                 };
-                Some((*id, outcome))
+                Some((id, outcome))
             })
             .collect();
         let holds = self
@@ -420,55 +416,65 @@ impl EngineState {
     /// profile from `t` on) are unaffected while breakpoint memory stays
     /// bounded. Shared by live rounds and WAL replay so both walk
     /// identical ledger states.
+    ///
+    /// The whole sweep is one [`CapacityLedger::release_all`] batch — a
+    /// port's query index is rebuilt once however many of its
+    /// reservations ended — in a fixed order, because the order of
+    /// releases on a port is the order of float operations on its
+    /// profile: rigid reservations by ascending id, then segmented ones
+    /// by ascending id, then holds by ascending txn.
     pub fn gc_expired(&mut self, t: f64) -> GcSweep {
-        let expired: Vec<ReservationId> = self
+        // The rigid table iterates in a per-process random order.
+        let mut rigid: Vec<ReservationId> = self
             .ledger
             .live_reservations()
             .filter(|(_, r)| r.end <= t)
             .map(|(id, _)| id)
             .collect();
-        let mut sweep = GcSweep::default();
-        for rid in expired {
-            if self.ledger.cancel(rid).is_ok() {
-                sweep.reclaimed += 1;
-                if let Some(owner) = self.res_owner.remove(&rid.0) {
-                    self.accepted_res.remove(&owner);
-                }
-            }
-        }
+        rigid.sort_unstable();
         // Segmented (malleable) reservations age out the same way once
-        // their last segment ends; the ascending-id iteration keeps live
-        // rounds and replay cancelling in the same order.
-        let expired_seg: Vec<ReservationId> = self
+        // their last segment ends.
+        let segmented: Vec<ReservationId> = self
             .ledger
             .live_segmented()
             .filter(|(_, r)| r.end() <= t)
             .map(|(id, _)| id)
             .collect();
-        for rid in expired_seg {
-            if self.ledger.cancel_segments(rid).is_ok() {
-                sweep.reclaimed += 1;
-                if let Some(owner) = self.res_owner.remove(&rid.0) {
-                    self.accepted_res.remove(&owner);
-                }
-            }
-        }
         // Holds whose window has fully passed are equally dead weight,
-        // committed or not; release them in ascending txn order so live
-        // rounds and replay free them in the same sequence. A hold that
-        // was still uncommitted is a genuine release and is reported as
-        // such — a committed hold already terminated via its commit.
+        // committed or not.
         let ended: Vec<u64> = self
             .holds
             .iter()
             .filter(|(_, h)| self.ledger.get_hold(h.hold).is_none_or(|ph| ph.end <= t))
             .map(|(&txn, _)| txn)
             .collect();
-        for txn in ended {
-            let committed = self.holds.get(&txn).is_some_and(|h| h.committed);
-            if self.release_hold(txn) {
+        let ended: Vec<EngineHold> = ended
+            .iter()
+            .filter_map(|txn| self.holds.remove(txn))
+            .collect();
+
+        let batch: Vec<ReleaseRequest> = (rigid.iter().map(|&r| ReleaseRequest::Reservation(r)))
+            .chain(segmented.iter().map(|&r| ReleaseRequest::Segments(r)))
+            .chain(ended.iter().map(|h| ReleaseRequest::Hold(h.hold)))
+            .collect();
+        let mut freed = self.ledger.release_all(&batch).into_iter();
+
+        let mut sweep = GcSweep::default();
+        for (rid, result) in rigid.iter().chain(&segmented).zip(&mut freed) {
+            if result.is_ok() {
                 sweep.reclaimed += 1;
-                if !committed {
+                if let Some(owner) = self.res_owner.remove(&rid.0) {
+                    self.accepted_res.remove(&owner);
+                }
+            }
+        }
+        // A hold that was still uncommitted is a genuine release and is
+        // reported as such — a committed hold already terminated via its
+        // commit.
+        for (h, result) in ended.iter().zip(freed) {
+            if result.is_ok() {
+                sweep.reclaimed += 1;
+                if !h.committed {
                     sweep.holds_released += 1;
                 }
             }
@@ -580,26 +586,18 @@ impl EngineState {
     /// Record a decided state, evicting the oldest entry beyond the
     /// history bound.
     pub fn record_state(&mut self, id: u64, state: ReqState) {
-        if !self.states.contains_key(&id) {
-            self.history.push_back(id);
-            if self.history.len() > self.history_capacity {
-                if let Some(old) = self.history.pop_front() {
-                    self.states.remove(&old);
-                }
-            }
-        }
-        self.states.insert(id, state);
+        self.history.record(id, state);
     }
 
     /// Whether this id has already been decided (or holds a live
     /// reservation that outlived its history entry).
     pub fn knows(&self, id: u64) -> bool {
-        self.states.contains_key(&id) || self.accepted_res.contains_key(&id)
+        self.history.get(id).is_some() || self.accepted_res.contains_key(&id)
     }
 
     /// Decided state of `id`, if still in history.
     pub fn state_of(&self, id: u64) -> Option<ReqState> {
-        self.states.get(&id).copied()
+        self.history.get(id)
     }
 
     /// Live allocation `(bw, σ, τ)` of an accepted, unexpired request.

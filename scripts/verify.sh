@@ -47,4 +47,17 @@ scripts/flex_smoke.sh
 echo "== soak smoke ==" >&2
 scripts/soak_smoke.sh
 
+# The repo benchmark is built from its own workspace, so nothing above
+# compiles it; a change that breaks its pinned surface or its output
+# checks (`correct: false` exits non-zero) must fail here, not at review.
+# One-second runs, not `--smoke`: the smoke's half-second `ledger_dense`
+# pool (22 000 ops) is gone before the first half slice once the daemon
+# passes ≈47k ops/s on small profiles, and the harness then gives up
+# ("too short to hold one whole slice", exit 2) without a verdict.
+echo "== benchmark harness tests ==" >&2
+cargo test -q --manifest-path benchmark/Cargo.toml
+
+echo "== benchmark, one-second runs ==" >&2
+benchmark/run.sh --seconds 1
+
 echo "verify: all green" >&2

@@ -1,67 +1,5 @@
 //! Offline shim for the subset of `crossbeam` this workspace uses:
-//! `thread::scope` (over `std::thread::scope`, with crossbeam's
-//! Err-on-panic return convention) and `channel` (MPMC bounded/unbounded
-//! queues built on `Mutex` + `Condvar`).
-
-pub mod thread {
-    use std::any::Any;
-
-    /// Like crossbeam, a scope returns `Err` (instead of unwinding) when
-    /// any spawned thread panicked.
-    pub type Result<T> = std::result::Result<T, Box<dyn Any + Send + 'static>>;
-
-    /// Wrapper over [`std::thread::Scope`]; `Copy` so it can be handed to
-    /// every spawned closure (crossbeam passes the scope as the closure's
-    /// argument to allow nested spawns).
-    pub struct Scope<'scope, 'env: 'scope> {
-        inner: &'scope std::thread::Scope<'scope, 'env>,
-    }
-
-    impl<'scope, 'env> Clone for Scope<'scope, 'env> {
-        fn clone(&self) -> Self {
-            *self
-        }
-    }
-
-    impl<'scope, 'env> Copy for Scope<'scope, 'env> {}
-
-    pub struct ScopedJoinHandle<'scope, T> {
-        inner: std::thread::ScopedJoinHandle<'scope, T>,
-    }
-
-    impl<'scope, T> ScopedJoinHandle<'scope, T> {
-        pub fn join(self) -> Result<T> {
-            self.inner.join()
-        }
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawn a thread inside the scope. The closure receives the scope
-        /// itself (crossbeam convention), so `|_| ...` callers work.
-        pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let scope = *self;
-            ScopedJoinHandle {
-                inner: self.inner.spawn(move || f(&scope)),
-            }
-        }
-    }
-
-    /// Run `f` with a scope; all spawned threads are joined before this
-    /// returns. A panic in any spawned thread (or in `f`) is captured and
-    /// returned as `Err` rather than unwinding the caller.
-    pub fn scope<'env, F, R>(f: F) -> Result<R>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            std::thread::scope(|s| f(&Scope { inner: s }))
-        }))
-    }
-}
+//! `channel` (MPMC bounded/unbounded queues built on `Mutex` + `Condvar`).
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -337,40 +275,10 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn scope_joins_and_returns_value() {
-        let data = [1u64, 2, 3];
-        let sum = super::thread::scope(|s| {
-            let h = s.spawn(|_| data.iter().sum::<u64>());
-            h.join().unwrap()
-        })
-        .unwrap();
-        assert_eq!(sum, 6);
-    }
-
-    #[test]
-    fn scope_reports_child_panic_as_err() {
-        let r = super::thread::scope(|s| {
-            s.spawn(|_| panic!("boom"));
-        });
-        assert!(r.is_err());
-    }
-
-    #[test]
-    fn nested_spawn_through_scope_argument() {
-        let r = super::thread::scope(|s| {
-            s.spawn(|inner| inner.spawn(|_| 41).join().unwrap() + 1)
-                .join()
-                .unwrap()
-        })
-        .unwrap();
-        assert_eq!(r, 42);
-    }
-
-    #[test]
     fn unbounded_fifo_across_threads() {
         let (tx, rx) = channel::unbounded();
-        super::thread::scope(|s| {
-            s.spawn(|_| {
+        std::thread::scope(|s| {
+            s.spawn(|| {
                 for i in 0..100 {
                     tx.send(i).unwrap();
                 }
@@ -378,8 +286,7 @@ mod tests {
             });
             let got: Vec<i32> = (0..100).map(|_| rx.recv().unwrap()).collect();
             assert_eq!(got, (0..100).collect::<Vec<_>>());
-        })
-        .unwrap();
+        });
     }
 
     #[test]
@@ -421,12 +328,11 @@ mod tests {
     fn bounded_send_blocks_until_room() {
         let (tx, rx) = channel::bounded(1);
         tx.send(0).unwrap();
-        super::thread::scope(|s| {
-            s.spawn(|_| tx.send(1).unwrap());
+        std::thread::scope(|s| {
+            s.spawn(|| tx.send(1).unwrap());
             std::thread::sleep(Duration::from_millis(20));
             assert_eq!(rx.recv(), Ok(0));
             assert_eq!(rx.recv(), Ok(1));
-        })
-        .unwrap();
+        });
     }
 }

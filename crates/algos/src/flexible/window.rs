@@ -27,31 +27,17 @@
 //! engine — book the round's accepts with one
 //! [`CapacityLedger::reserve_all`] call, touching each port's query index
 //! once per round instead of once per accept.
-//!
-//! **Shard-parallel rounds.** Two candidates of one batch interact only
-//! through a shared ingress or egress port, so the batch splits into the
-//! connected components of its port-conflict graph
-//! ([`gridband_net::partition_routes`]) — independent shards with
-//! disjoint port sets. With [`WindowScheduler::with_threads`] (or
-//! `GRIDBAND_ADMIT_THREADS`) the selection loop runs per shard on a
-//! scoped thread pool, and the shard outcomes are merged by the canonical
-//! `(cost, original index)` key — the same total order the sequential
-//! loop follows — so decisions, tie-breaks, and every downstream booking
-//! are **bit-identical** to the sequential path (which `threads = 1`
-//! runs unchanged, with no partitioning at all). The equivalence is
-//! enforced by the differential suite in
-//! `crates/algos/tests/parallel_differential.rs`.
 
 use crate::policy::BandwidthPolicy;
 use gridband_net::units::Time;
-use gridband_net::{partition_routes, CapacityLedger, Route, Topology};
+use gridband_net::{CapacityLedger, Route, Topology};
 use gridband_sim::{AdmissionController, Decision};
 use gridband_workload::{Request, RequestId};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One policy-resolved candidate of a decision batch. `orig` is its
-/// position among the batch's candidates — the canonical tie-break key,
-/// stable across any partitioning of the batch.
+/// position among the batch's candidates — the tie-break key between
+/// equal saturation costs, so the pick order does not depend on how the
+/// remaining candidates are stored.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     orig: usize,
@@ -60,57 +46,24 @@ struct Candidate {
     finish: Time,
 }
 
-/// One shard-local accept, keyed for the cross-shard merge. The key
-/// `(cost, orig)` is strictly increasing along a shard's pick sequence
-/// (costs only grow as accepts land; equal costs resolve by `orig`,
-/// which the min-selection would have taken earlier), and unique across
-/// shards (distinct `orig`), so merging shard streams by key reproduces
-/// the sequential pick order exactly.
-#[derive(Debug, Clone, Copy)]
-struct Pick {
-    cost: f64,
-    orig: usize,
-}
-
-/// Outcome of running Algorithm 3's selection loop over one shard:
-/// the picks in selection order, plus the terminal break event — the
-/// `(cost, orig)` of the shard's cheapest remaining candidate when it no
-/// longer fit. A `None` break means the shard accepted all its members.
-#[derive(Debug, Clone)]
-struct ShardRun {
-    picks: Vec<Pick>,
-    brk: Option<Pick>,
-    /// FCFS-mode decisions `(orig, accepted)`, in member (= arrival)
-    /// order; empty in cost mode.
-    fcfs: Vec<(usize, bool)>,
-}
-
 /// Algorithm 3: interval-based admission with saturation-cost selection.
 #[derive(Debug, Clone)]
 pub struct WindowScheduler {
     step: Time,
     policy: BandwidthPolicy,
     order_by_cost: bool,
-    threads: usize,
-    last_shards: usize,
-    last_largest_shard: usize,
     pending: Vec<Request>,
 }
 
 impl WindowScheduler {
     /// Interval scheduler with period `t_step` seconds and the given
-    /// bandwidth policy. Admission parallelism defaults to
-    /// [`gridband_net::default_admit_threads`] (the
-    /// `GRIDBAND_ADMIT_THREADS` environment variable, 1 when unset).
+    /// bandwidth policy.
     pub fn new(step: Time, policy: BandwidthPolicy) -> Self {
         assert!(step > 0.0, "t_step must be positive");
         WindowScheduler {
             step,
             policy,
             order_by_cost: true,
-            threads: gridband_net::default_admit_threads(),
-            last_shards: 0,
-            last_largest_shard: 0,
             pending: Vec::new(),
         }
     }
@@ -122,28 +75,11 @@ impl WindowScheduler {
         self
     }
 
-    /// Decide batches shard-parallel on up to `threads` OS threads
-    /// (`0` and `1` both mean sequential). Decisions are bit-identical
-    /// for every thread count; see [`Self::decide_batch`]'s internals.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+    // Kept only for `benchmark/src/layers.rs`, which calls
+    // `with_threads(1)` and may not be edited here; rounds are sequential.
+    #[doc(hidden)]
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
-    }
-
-    /// Configured admission parallelism.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Number of conflict-graph shards the most recent decision batch
-    /// split into (0 before any batch; 1 when run sequentially).
-    pub fn last_round_shards(&self) -> usize {
-        self.last_shards
-    }
-
-    /// Candidate count of the largest shard in the most recent batch.
-    pub fn last_round_largest_shard(&self) -> usize {
-        self.last_largest_shard
     }
 
     /// The interval length `t_step`.
@@ -151,10 +87,12 @@ impl WindowScheduler {
         self.step
     }
 
+    /// Decide the pending batch at `now`. The returned vector lists the
+    /// deadline-unreachable rejects in arrival order, then the accepts in
+    /// pick order, then the remaining rejects in candidate order; replies,
+    /// WAL records and reservation ids follow that order.
     fn decide_batch(&mut self, ledger: &CapacityLedger, now: Time) -> Vec<(RequestId, Decision)> {
         if self.pending.is_empty() {
-            self.last_shards = 0;
-            self.last_largest_shard = 0;
             return Vec::new();
         }
         let mut out = Vec::with_capacity(self.pending.len());
@@ -165,26 +103,24 @@ impl WindowScheduler {
         // (and exact, for batch acceptances starting at `now`) view of the
         // future.
         let topo = ledger.topology();
-        let ali: Vec<f64> = topo
+        let mut ali: Vec<f64> = topo
             .ingress_ids()
             .map(|i| ledger.ingress_profile(i).alloc_at(now))
             .collect();
-        let ale: Vec<f64> = topo
+        let mut ale: Vec<f64> = topo
             .egress_ids()
             .map(|e| ledger.egress_profile(e).alloc_at(now))
             .collect();
 
         // Resolve each candidate's bandwidth at the decision time; those
         // whose deadline became unreachable are rejected immediately.
-        // The policy reads only the request and `now` — never port state —
-        // so this pass is identical under every shard layout.
-        let mut candidates: Vec<Candidate> = Vec::new();
+        let mut remaining: Vec<Candidate> = Vec::new();
         for req in self.pending.drain(..) {
             match self.policy.assign(&req, now) {
                 Some(bw) => {
                     let finish = req.completion_at(now, bw);
-                    candidates.push(Candidate {
-                        orig: candidates.len(),
+                    remaining.push(Candidate {
+                        orig: remaining.len(),
                         req,
                         bw,
                         finish,
@@ -193,186 +129,45 @@ impl WindowScheduler {
                 None => out.push((req.id, Decision::Reject)),
             }
         }
-        self.last_shards = usize::from(!candidates.is_empty());
-        self.last_largest_shard = candidates.len();
         let accept_of = |c: &Candidate| Decision::Accept {
             bw: c.bw,
             start: now,
             finish: c.finish,
         };
 
-        if self.threads > 1 && candidates.len() > 1 {
-            // Shard-parallel path: split the batch into the connected
-            // components of its port-conflict graph, run the selection
-            // loop per component concurrently, merge canonically.
-            let partition = partition_routes(
-                &candidates
-                    .iter()
-                    .map(|c| c.req.route)
-                    .collect::<Vec<Route>>(),
-            );
-            self.last_shards = partition.len();
-            self.last_largest_shard = partition.largest();
-            let components = partition.components();
-            let ncomp = components.len();
-            let runs: Vec<ShardRun> = if ncomp == 1 {
-                // One giant component: nothing to parallelize.
-                let (mut ali, mut ale) = (ali, ale);
-                vec![run_shard(
-                    topo,
-                    &candidates,
-                    &components[0].members,
-                    self.order_by_cost,
-                    &mut ali,
-                    &mut ale,
-                )]
-            } else {
-                let slots: Vec<std::sync::Mutex<Option<ShardRun>>> =
-                    (0..ncomp).map(|_| std::sync::Mutex::new(None)).collect();
-                let next = AtomicUsize::new(0);
-                let order_by_cost = self.order_by_cost;
-                let result = crossbeam::thread::scope(|scope| {
-                    for _ in 0..self.threads.min(ncomp) {
-                        scope.spawn(|_| loop {
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            if k >= ncomp {
-                                break;
-                            }
-                            // Full clones of the scalar trackers: a shard
-                            // only ever reads/writes its own component's
-                            // ports, so clones keep port indexing direct
-                            // without any cross-shard visibility.
-                            let mut ali_l = ali.clone();
-                            let mut ale_l = ale.clone();
-                            let run = run_shard(
-                                topo,
-                                &candidates,
-                                &components[k].members,
-                                order_by_cost,
-                                &mut ali_l,
-                                &mut ale_l,
-                            );
-                            *slots[k].lock().expect("shard slot poisoned") = Some(run);
-                        });
-                    }
-                });
-                if let Err(panic) = result {
-                    std::panic::resume_unwind(panic);
-                }
-                slots
-                    .into_iter()
-                    .map(|m| {
-                        m.into_inner()
-                            .expect("shard slot poisoned")
-                            .expect("every shard ran")
-                    })
-                    .collect()
-            };
-
-            if self.order_by_cost {
-                // K-way merge of the shard pick streams by `(cost, orig)`.
-                // Each stream is strictly increasing in that key and the
-                // shards are independent, so at every step the smallest
-                // head equals the candidate the sequential loop would
-                // select next. A `brk` head with the smallest key means
-                // the sequential loop's cheapest remaining candidate no
-                // longer fits — the global stop: reject everything not
-                // yet accepted (shard picks past that point never booked
-                // anything; they are simply discarded).
-                let mut cursor = vec![0usize; runs.len()];
-                let mut taken = vec![false; candidates.len()];
-                let mut broke = false;
-                loop {
-                    let mut best: Option<(f64, usize, usize, bool)> = None;
-                    for (s, run) in runs.iter().enumerate() {
-                        let head = if cursor[s] < run.picks.len() {
-                            Some((run.picks[cursor[s]], false))
-                        } else {
-                            run.brk.map(|p| (p, true))
-                        };
-                        if let Some((p, is_brk)) = head {
-                            if best.is_none_or(|(c, o, _, _)| (p.cost, p.orig) < (c, o)) {
-                                best = Some((p.cost, p.orig, s, is_brk));
-                            }
-                        }
-                    }
-                    match best {
-                        None => break,
-                        Some((_, orig, s, false)) => {
-                            cursor[s] += 1;
-                            taken[orig] = true;
-                            let c = &candidates[orig];
-                            out.push((c.req.id, accept_of(c)));
-                        }
-                        Some((_, _, _, true)) => {
-                            broke = true;
-                            break;
-                        }
-                    }
-                }
-                if broke {
-                    for c in &candidates {
-                        if !taken[c.orig] {
-                            out.push((c.req.id, Decision::Reject));
-                        }
-                    }
-                }
-            } else {
-                // FCFS: each shard decided its members in arrival order;
-                // a decision depends only on earlier same-port accepts,
-                // which live in the same shard. Merging by `orig` is the
-                // sequential order.
-                let mut decisions: Vec<(usize, bool)> =
-                    runs.iter().flat_map(|r| r.fcfs.iter().copied()).collect();
-                decisions.sort_unstable_by_key(|&(orig, _)| orig);
-                for (orig, accepted) in decisions {
-                    let c = &candidates[orig];
-                    if accepted {
-                        out.push((c.req.id, accept_of(c)));
-                    } else {
-                        out.push((c.req.id, Decision::Reject));
-                    }
-                }
-            }
-        } else {
-            // Sequential reference path: the whole batch as one shard,
-            // no partitioning, no merge — this is what the differential
-            // layer compares the parallel path against.
-            let members: Vec<usize> = (0..candidates.len()).collect();
-            let (mut ali, mut ale) = (ali, ale);
-            let run = run_shard(
-                topo,
-                &candidates,
-                &members,
-                self.order_by_cost,
-                &mut ali,
-                &mut ale,
-            );
-            if self.order_by_cost {
-                let mut taken = vec![false; candidates.len()];
-                for p in &run.picks {
-                    taken[p.orig] = true;
-                    let c = &candidates[p.orig];
+        if !self.order_by_cost {
+            // FCFS within the interval (ablation).
+            for c in &remaining {
+                if fits(topo, &ali, &ale, c.req.route, c.bw) {
+                    ali[c.req.route.ingress.index()] += c.bw;
+                    ale[c.req.route.egress.index()] += c.bw;
                     out.push((c.req.id, accept_of(c)));
-                }
-                if run.brk.is_some() {
-                    for c in &candidates {
-                        if !taken[c.orig] {
-                            out.push((c.req.id, Decision::Reject));
-                        }
-                    }
-                }
-            } else {
-                for (orig, accepted) in run.fcfs {
-                    let c = &candidates[orig];
-                    if accepted {
-                        out.push((c.req.id, accept_of(c)));
-                    } else {
-                        out.push((c.req.id, Decision::Reject));
-                    }
+                } else {
+                    out.push((c.req.id, Decision::Reject));
                 }
             }
+            return out;
         }
+        // Paper: repeatedly admit the minimum-cost candidate until the
+        // cheapest one would saturate a port; everything left is rejected.
+        while !remaining.is_empty() {
+            let (pos, _) = remaining
+                .iter()
+                .map(|c| (cost_of(topo, &ali, &ale, c.req.route, c.bw), c.orig))
+                .enumerate()
+                .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite costs"))
+                .expect("non-empty");
+            let c = &remaining[pos];
+            if !fits(topo, &ali, &ale, c.req.route, c.bw) {
+                break;
+            }
+            ali[c.req.route.ingress.index()] += c.bw;
+            ale[c.req.route.egress.index()] += c.bw;
+            out.push((c.req.id, accept_of(c)));
+            remaining.swap_remove(pos);
+        }
+        remaining.sort_unstable_by_key(|c| c.orig);
+        out.extend(remaining.iter().map(|c| (c.req.id, Decision::Reject)));
         out
     }
 }
@@ -397,68 +192,6 @@ fn fits(topo: &Topology, ali: &[f64], ale: &[f64], route: Route, bw: f64) -> boo
         ale[route.egress.index()] + bw,
         topo.egress_cap(route.egress),
     )
-}
-
-/// Run Algorithm 3's selection loop over one shard (`members` indexes
-/// into `candidates`; the whole batch is one shard on the sequential
-/// path). Selection is by minimum `(cost, orig)` — the candidate's
-/// original batch position breaks exact cost ties, making the pick
-/// order independent of how the remaining-candidate vector is stored
-/// and therefore identical across shard layouts.
-fn run_shard(
-    topo: &Topology,
-    candidates: &[Candidate],
-    members: &[usize],
-    order_by_cost: bool,
-    ali: &mut [f64],
-    ale: &mut [f64],
-) -> ShardRun {
-    let mut run = ShardRun {
-        picks: Vec::new(),
-        brk: None,
-        fcfs: Vec::new(),
-    };
-    if !order_by_cost {
-        // FCFS within the interval (ablation): members ascend in `orig`.
-        run.fcfs = members
-            .iter()
-            .map(|&orig| {
-                let c = &candidates[orig];
-                let ok = fits(topo, ali, ale, c.req.route, c.bw);
-                if ok {
-                    ali[c.req.route.ingress.index()] += c.bw;
-                    ale[c.req.route.egress.index()] += c.bw;
-                }
-                (orig, ok)
-            })
-            .collect();
-        return run;
-    }
-    // Paper: repeatedly admit the minimum-cost candidate until the
-    // cheapest one would saturate a port (then everything left is
-    // rejected — here recorded as the terminal break event).
-    let mut remaining: Vec<usize> = members.to_vec();
-    while !remaining.is_empty() {
-        let (pos, orig, cost) = remaining
-            .iter()
-            .enumerate()
-            .map(|(pos, &orig)| {
-                let c = &candidates[orig];
-                (pos, orig, cost_of(topo, ali, ale, c.req.route, c.bw))
-            })
-            .min_by(|a, b| (a.2, a.1).partial_cmp(&(b.2, b.1)).expect("finite costs"))
-            .expect("non-empty");
-        let c = &candidates[orig];
-        if !fits(topo, ali, ale, c.req.route, c.bw) {
-            run.brk = Some(Pick { cost, orig });
-            break;
-        }
-        ali[c.req.route.ingress.index()] += c.bw;
-        ale[c.req.route.egress.index()] += c.bw;
-        run.picks.push(Pick { cost, orig });
-        remaining.swap_remove(pos);
-    }
-    run
 }
 
 impl AdmissionController for WindowScheduler {
@@ -607,6 +340,73 @@ mod tests {
         assert_eq!(a.accepted_count(), 9);
         // Arrival order admits the elephant (90) then one mouse (10).
         assert_eq!(b.accepted_count(), 2);
+    }
+
+    /// One decision batch at the scheduler level: every request arrives,
+    /// then one tick at t = 10 returns the raw decision vector.
+    fn decide_at_10(topo: Topology, reqs: &[Request], fcfs: bool) -> Vec<(RequestId, Decision)> {
+        let mut sched = WindowScheduler::new(10.0, BandwidthPolicy::MAX_RATE);
+        if fcfs {
+            sched = sched.with_arrival_order();
+        }
+        let ledger = CapacityLedger::new(topo);
+        for r in reqs {
+            assert_eq!(sched.on_arrival(r, &ledger, r.start()), Decision::Defer);
+        }
+        sched.on_tick(&ledger, 10.0)
+    }
+
+    // 250 MB at 25 MB/s from the tick at t = 10.
+    const ACCEPT_25: Decision = Decision::Accept {
+        bw: 25.0,
+        start: 10.0,
+        finish: 20.0,
+    };
+
+    #[test]
+    fn exact_cost_ties_pick_the_earlier_arrival() {
+        // Three identical requests on each of six disjoint routes: costs
+        // are bit-equal six at a time (0.25, then 0.5, then 0.75), so the
+        // pick order is decided by the tie-break alone. `swap_remove`
+        // moves request 17 to the front of the remaining vector after the
+        // first pick — a storage-order tie-break would take it second.
+        let reqs: Vec<Request> = (0..18u64)
+            .map(|k| {
+                let site = (k % 6) as u32;
+                flexible(k, Route::new(site, site), 0.5, 250.0, 25.0, 4.0)
+            })
+            .collect();
+        let expected: Vec<(RequestId, Decision)> =
+            (0..18u64).map(|k| (RequestId(k), ACCEPT_25)).collect();
+        for fcfs in [false, true] {
+            let got = decide_at_10(Topology::uniform(6, 6, 100.0), &reqs, fcfs);
+            assert_eq!(got, expected, "fcfs {fcfs}");
+        }
+    }
+
+    #[test]
+    fn first_misfit_rejects_the_rest_in_candidate_order() {
+        // Capacity 50 admits two of the three equal-cost requests per
+        // route: picks 0..=7 (cost 0.5, then exactly 1.0), then the
+        // cheapest remaining candidate (8, cost 1.5) does not fit and
+        // 8..=11 are rejected — in candidate order, although the
+        // remaining vector holds them as [11, 10, 9, 8] by then. Request
+        // 99 arrives mid-batch with a deadline before the tick and leads
+        // the vector.
+        let mut reqs: Vec<Request> = (0..12u64)
+            .map(|k| {
+                let site = (k % 4) as u32;
+                flexible(k, Route::new(site, site), 0.5, 250.0, 25.0, 4.0)
+            })
+            .collect();
+        reqs.insert(5, flexible(99, Route::new(0, 0), 0.5, 100.0, 25.0, 1.0));
+        let mut expected = vec![(RequestId(99), Decision::Reject)];
+        expected.extend((0..8u64).map(|k| (RequestId(k), ACCEPT_25)));
+        expected.extend((8..12u64).map(|k| (RequestId(k), Decision::Reject)));
+        for fcfs in [false, true] {
+            let got = decide_at_10(Topology::uniform(4, 4, 50.0), &reqs, fcfs);
+            assert_eq!(got, expected, "fcfs {fcfs}");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Admission hot-path benchmark: produces `BENCH_admission.json`.
 //!
-//! Three sections, all driven from one binary so the numbers in the
+//! Its sections are all driven from one binary so the numbers in the
 //! committed JSON are reproducible with a single command
 //! (`scripts/bench.sh`):
 //!
@@ -16,32 +16,18 @@
 //!    (p50/p99 round latency, decisions/sec) and through the greedy
 //!    per-arrival path, each cross-checked against `Simulation::run` so
 //!    the timed driver provably makes the same accept decisions;
-//! 4. **parallel** — shard-parallel admission rounds on a multi-site
-//!    §5.3 workload (site-local routes, so each round decomposes into
-//!    one conflict-graph component per site): rounds/sec and p50/p99
-//!    round latency at 1/2/4/8 threads for both the cost-ordered WINDOW
-//!    policy and the arrival-order (GREEDY) ablation, with every
-//!    threaded run differentially compared round-by-round — decisions
-//!    and final port profiles — against the sequential reference
-//!    (mismatches must be 0);
-//! 5. **durability** — WAL append throughput and cold-recovery time per
+//! 4. **durability** — WAL append throughput and cold-recovery time per
 //!    fsync policy on memory and disk-backed stores;
-//! 6. **replication** — a live primary shipping its WAL over TCP
+//! 5. **replication** — a live primary shipping its WAL over TCP
 //!    loopback to a hot standby (per-batch sync lag, wire failover
 //!    time), gated on zero beacon divergence and a byte-identical
 //!    mirrored store;
-//! 7. **cluster** — a topology-sharded router over in-process shard
+//! 6. **cluster** — a topology-sharded router over in-process shard
 //!    engines: submissions/sec and per-submission latency across shard
 //!    counts {1,2,4} and cross-shard fractions {0%,10%,50%}, gated on
 //!    zero divergence from a solo run (partition-respecting rows) and
 //!    zero conservation violations everywhere;
-//! 8. **wire** — the same workload replayed against live daemons over
-//!    the JSON-lines protocol and the length-prefixed binary frame
-//!    codec: submissions/sec and submit-to-decision latency per codec
-//!    under concurrent connections, hard-gated on zero bit-level
-//!    decision divergence between the codecs and on the binary path's
-//!    p99 beating the JSON baseline;
-//! 9. **soak** — ≥10⁶ requests of sustained open-ended load on a raw
+//! 7. **soak** — ≥10⁶ requests of sustained open-ended load on a raw
 //!    `CapacityLedger` with the watermark GC sweeping behind a lagging
 //!    horizon: per-quintile breakpoint counts, RSS, and round-p99
 //!    hard-gated flat, and every decision on a shared prefix gated
@@ -53,18 +39,9 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::hint::black_box;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use gridband_serve::protocol::{decode_server, encode_client};
-use gridband_serve::wire::{
-    decode_server_payload, encode_client_frame, FrameBuf, WireMode, WIRE_MAGIC,
-};
-use gridband_serve::{
-    ClientMsg, EngineConfig, Server, ServerConfig, ServerMsg, SubmitReq, TimeMode,
-};
+use gridband_serve::{ClientMsg, EngineConfig, ServerMsg, SubmitReq, TimeMode};
 
 use gridband_algos::{BandwidthPolicy, Greedy, WindowScheduler};
 use gridband_net::{
@@ -85,18 +62,14 @@ use serde::Serialize;
 struct Report {
     schema: String,
     mode: String,
-    /// CPUs available to the bench process: the ceiling on any real
-    /// parallel speedup. On a single-core host the `parallel` rows
-    /// legitimately show speedup < 1 (spawn overhead, no parallelism).
+    /// CPUs available to the bench process.
     host_cpus: usize,
     micro: Vec<MicroRow>,
     differential: Differential,
     end_to_end: Vec<EndToEndRow>,
-    parallel: Vec<ParallelRow>,
     durability: Vec<DurabilityRow>,
     replication: ReplicationReport,
     cluster: Vec<ClusterRow>,
-    wire: WireReport,
     qos: Vec<QosRow>,
     malleable: Vec<MalleableRow>,
     soak: SoakReport,
@@ -221,37 +194,6 @@ struct MalleableRow {
 }
 
 #[derive(Serialize)]
-struct WireReport {
-    requests: usize,
-    connections: usize,
-    /// Grants in the single-connection JSON replay. Reported so the
-    /// divergence gate is visibly non-vacuous: a trace that is all
-    /// grants or all rejections would compare nothing interesting.
-    granted: usize,
-    /// Decisions that differ — grant `f64`s compared as raw IEEE-754
-    /// bit patterns — between single-connection JSON and binary replays
-    /// of the identical trace. Gated to 0: the binary codec must be a
-    /// pure re-encoding of the protocol, not a reinterpretation.
-    codec_divergence: usize,
-    rows: Vec<WireRow>,
-}
-
-#[derive(Serialize)]
-struct WireRow {
-    wire: String,
-    requests: usize,
-    granted: usize,
-    /// Wall-clock submission throughput across all concurrent
-    /// connections, first submit written to last decision read.
-    submissions_per_sec: f64,
-    /// Per-request submit-to-decision sojourn with pipelined readers,
-    /// so both codec legs (client encode + server decode on the way in,
-    /// server encode + client decode on the way back) sit inside the
-    /// measurement. Gated: binary p99 must beat the JSON p99.
-    decision_latency_us: LatencyUs,
-}
-
-#[derive(Serialize)]
 struct ClusterRow {
     shards: usize,
     cross_fraction: f64,
@@ -299,30 +241,6 @@ struct ReplicationReport {
     /// Follower store is byte-for-byte the primary's durable WAL prefix
     /// (same generation, same snapshot bytes). Gated.
     store_mirrored: bool,
-}
-
-#[derive(Serialize)]
-struct ParallelRow {
-    policy: String,
-    threads: usize,
-    seed: u64,
-    requests: usize,
-    rounds: usize,
-    accepted: usize,
-    mean_shards: f64,
-    rounds_per_sec: f64,
-    round_latency_us: LatencyUs,
-    /// Rounds/sec relative to the 1-thread run of the same (policy,
-    /// seed) — 1.0 for the reference row itself.
-    speedup_vs_sequential: f64,
-    /// Rounds whose decision vector differed from the sequential
-    /// reference, plus 1 if the final port profiles differed. Gated to 0.
-    mismatches: usize,
-    /// For `threads == 1` rows only (`null` otherwise): p99 round
-    /// latency (µs) of the same workload driven through the pre-shard
-    /// plain path (default scheduler + `reserve_all`). Gates the
-    /// no-regression claim.
-    plain_baseline_p99_us: Option<f64>,
 }
 
 #[derive(Serialize)]
@@ -671,180 +589,6 @@ fn run_greedy_arrivals(
         round_latency_us: latency_summary(ns),
         matches_offline_sim: offline.accepted_count() == accepted,
     }
-}
-
-// ---------------------------------------------------------------------------
-// Parallel: shard-parallel rounds vs the sequential reference
-// ---------------------------------------------------------------------------
-
-/// A multi-component §5.3 workload: `sites` independent site pairs with
-/// strictly site-local routes, so every admission round's conflict graph
-/// decomposes into (up to) one component per site and the shard-parallel
-/// path has genuine work to spread. Rates are small against the port
-/// capacity so rounds carry long pick sequences before saturating.
-fn multi_site_trace(topo: &Topology, n: usize, horizon: f64, seed: u64) -> Trace {
-    let sites = topo.num_ingress().min(topo.num_egress()) as u32;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut reqs = Vec::with_capacity(n);
-    for id in 0..n as u64 {
-        let s = rng.gen_range(0..sites);
-        let start = rng.gen_range(0.0..horizon);
-        let vol = rng.gen_range(2..=8) as f64 * 250.0;
-        let max = rng.gen_range(1..=4) as f64 * 6.0;
-        let slack = rng.gen_range(2.0..4.0);
-        let dur = slack * vol / max;
-        reqs.push(Request::new(
-            id,
-            gridband_net::Route::new(s, s),
-            gridband_workload::TimeWindow::new(start, start + dur),
-            vol,
-            max,
-        ));
-    }
-    Trace::new(reqs)
-}
-
-/// One full run of the round loop at a given parallelism: decisions per
-/// round, final ledger state, and per-round wall time. Identical driver
-/// for every thread count, so timing differences are the shard path.
-struct ParallelRun {
-    decisions: Vec<Vec<(gridband_workload::RequestId, Decision)>>,
-    state: gridband_net::LedgerState,
-    round_ns: Vec<u64>,
-    accepted: usize,
-    shards_sum: usize,
-}
-
-fn run_parallel_rounds(
-    topo: &Topology,
-    trace: &Trace,
-    step: f64,
-    threads: Option<usize>,
-    fcfs: bool,
-) -> ParallelRun {
-    // `None` is the plain pre-shard path: a default scheduler (no
-    // `with_threads` call at all) and plain `reserve_all`, so the
-    // threads=1 no-regression gate compares against exactly what runs
-    // when nobody opts into parallelism.
-    let mut sched = WindowScheduler::new(step, BandwidthPolicy::MAX_RATE);
-    if let Some(n) = threads {
-        sched = sched.with_threads(n);
-    }
-    if fcfs {
-        sched = sched.with_arrival_order();
-    }
-    let mut ledger = CapacityLedger::new(topo.clone());
-    let by_id: HashMap<u64, &Request> = trace.iter().map(|r| (r.id.0, r)).collect();
-    let reqs = trace.requests();
-    let mut next = 0usize;
-    let mut run = ParallelRun {
-        decisions: Vec::new(),
-        state: ledger.export_state(),
-        round_ns: Vec::new(),
-        accepted: 0,
-        shards_sum: 0,
-    };
-    let mut t = step;
-    while t <= trace.horizon() + step {
-        while next < reqs.len() && reqs[next].start() < t {
-            let _ = sched.on_arrival(&reqs[next], &ledger, reqs[next].start());
-            next += 1;
-        }
-        let t0 = Instant::now();
-        let decisions = sched.on_tick(&ledger, t);
-        let batch: Vec<ReserveRequest> = decisions
-            .iter()
-            .filter_map(|(rid, d)| match *d {
-                Decision::Accept { bw, start, finish } => Some(ReserveRequest {
-                    route: by_id[&rid.0].route,
-                    start,
-                    end: finish,
-                    bw,
-                }),
-                _ => None,
-            })
-            .collect();
-        let results = match threads {
-            Some(n) => ledger.reserve_all_threaded(&batch, n),
-            None => ledger.reserve_all(&batch),
-        };
-        run.round_ns.push(t0.elapsed().as_nanos() as u64);
-        for r in &results {
-            r.as_ref().expect("scheduler over-committed a batch");
-        }
-        run.accepted += results.len();
-        run.shards_sum += sched.last_round_shards();
-        run.decisions.push(decisions);
-        t += step;
-    }
-    assert_eq!(next, reqs.len(), "driver left arrivals unfed");
-    run.state = ledger.export_state();
-    run
-}
-
-fn parallel_section(
-    thread_grid: &[usize],
-    seeds: &[u64],
-    n: usize,
-    rounds: usize,
-) -> Vec<ParallelRow> {
-    let topo = Topology::paper_default();
-    let step = 50.0;
-    let horizon = rounds as f64 * step;
-    let mut rows = Vec::new();
-    for &seed in seeds {
-        let trace = multi_site_trace(&topo, n, horizon, seed);
-        for (policy, fcfs) in [("window", false), ("greedy", true)] {
-            // The plain pre-shard path on the same workload: the
-            // threads=1 row is gated against this p99.
-            let plain = run_parallel_rounds(&topo, &trace, step, None, fcfs);
-            let plain_p99 = latency_summary(plain.round_ns.clone()).p99;
-            let reference = run_parallel_rounds(&topo, &trace, step, Some(1), fcfs);
-            assert_eq!(
-                (&plain.decisions, &plain.state),
-                (&reference.decisions, &reference.state),
-                "plain path and threads=1 diverged ({policy}, seed {seed})"
-            );
-            let ref_total_s = reference.round_ns.iter().sum::<u64>() as f64 / 1e9;
-            let ref_rps = reference.round_ns.len() as f64 / ref_total_s.max(1e-9);
-            for &threads in thread_grid {
-                let threaded;
-                let run = if threads == 1 {
-                    // The reference IS the threads=1 run; re-running
-                    // would only duplicate the timing sample.
-                    &reference
-                } else {
-                    threaded = run_parallel_rounds(&topo, &trace, step, Some(threads), fcfs);
-                    &threaded
-                };
-                let mut mismatches = run
-                    .decisions
-                    .iter()
-                    .zip(&reference.decisions)
-                    .filter(|(a, b)| a != b)
-                    .count();
-                mismatches += usize::from(run.decisions.len() != reference.decisions.len());
-                mismatches += usize::from(run.state != reference.state);
-                let total_s = run.round_ns.iter().sum::<u64>() as f64 / 1e9;
-                let rps = run.round_ns.len() as f64 / total_s.max(1e-9);
-                rows.push(ParallelRow {
-                    policy: policy.to_string(),
-                    threads,
-                    seed,
-                    requests: trace.len(),
-                    rounds: run.round_ns.len(),
-                    accepted: run.accepted,
-                    mean_shards: run.shards_sum as f64 / run.round_ns.len().max(1) as f64,
-                    rounds_per_sec: rps,
-                    round_latency_us: latency_summary(run.round_ns.clone()),
-                    speedup_vs_sequential: rps / ref_rps.max(1e-9),
-                    mismatches,
-                    plain_baseline_p99_us: (threads == 1).then_some(plain_p99),
-                });
-            }
-        }
-    }
-    rows
 }
 
 // ---------------------------------------------------------------------------
@@ -1358,285 +1102,6 @@ fn cluster_section(smoke: bool) -> Vec<ClusterRow> {
     }
     rows
 }
-
-// ---------------------------------------------------------------------------
-// Wire: JSON-lines vs binary frame codec over live TCP (gridband-serve)
-// ---------------------------------------------------------------------------
-
-/// One request's decision, bit-exact: grants keep the raw bit patterns
-/// of their three `f64`s so equality here is byte equality on the wire.
-#[derive(Debug, PartialEq)]
-enum WireOutcome {
-    Granted { bw: u64, start: u64, finish: u64 },
-    Denied(String),
-}
-
-fn wire_submit(r: &Request) -> ClientMsg {
-    ClientMsg::Submit(SubmitReq {
-        id: r.id.0,
-        ingress: r.route.ingress.0,
-        egress: r.route.egress.0,
-        volume: r.volume,
-        max_rate: r.max_rate,
-        start: Some(r.start()),
-        deadline: Some(r.finish()),
-        class: Default::default(),
-        malleable: None,
-    })
-}
-
-fn wire_send(w: &mut TcpStream, wire: WireMode, msg: &ClientMsg) {
-    match wire {
-        WireMode::Json => {
-            let mut line = encode_client(msg);
-            line.push('\n');
-            w.write_all(line.as_bytes()).expect("send to wire daemon");
-        }
-        WireMode::Binary => w
-            .write_all(&encode_client_frame(msg))
-            .expect("send to wire daemon"),
-    }
-}
-
-/// Reply reader for one connection in either dialect.
-struct WireRx {
-    reader: BufReader<TcpStream>,
-    frames: FrameBuf,
-    wire: WireMode,
-}
-
-impl WireRx {
-    fn new(stream: TcpStream, wire: WireMode) -> Self {
-        WireRx {
-            reader: BufReader::new(stream),
-            frames: FrameBuf::new(),
-            wire,
-        }
-    }
-
-    fn next(&mut self) -> ServerMsg {
-        match self.wire {
-            WireMode::Json => {
-                let mut line = String::new();
-                let n = self.reader.read_line(&mut line).expect("read wire reply");
-                assert!(n > 0, "wire daemon closed the connection early");
-                decode_server(line.trim()).expect("decode wire reply")
-            }
-            WireMode::Binary => loop {
-                if let Some(payload) = self.frames.next_frame().expect("sound frame stream") {
-                    return decode_server_payload(&payload).expect("decode wire reply");
-                }
-                let mut buf = [0u8; 4096];
-                let n = self.reader.read(&mut buf).expect("read wire reply");
-                assert!(n > 0, "wire daemon closed the connection early");
-                self.frames.extend(&buf[..n]);
-            },
-        }
-    }
-}
-
-/// A fresh virtual-clock daemon on loopback, queue sized so no submit
-/// ever bounces with `QueueFull` and pollutes the decision comparison.
-fn wire_daemon(
-    topo: &Topology,
-    queue: usize,
-) -> (
-    std::net::SocketAddr,
-    gridband_serve::server::ShutdownHandle,
-    std::thread::JoinHandle<std::io::Result<()>>,
-) {
-    let mut engine = EngineConfig::new(topo.clone());
-    engine.step = 50.0;
-    engine.policy = BandwidthPolicy::MAX_RATE;
-    engine.mode = TimeMode::Virtual;
-    engine.queue_capacity = queue;
-    let server = Server::bind(ServerConfig::new("127.0.0.1:0", engine)).expect("bind wire daemon");
-    let addr = server.local_addr().expect("wire daemon addr");
-    let handle = server.shutdown_handle().expect("wire shutdown handle");
-    let join = std::thread::spawn(move || server.run());
-    (addr, handle, join)
-}
-
-/// Replay `trace` over one connection in the given dialect and collect
-/// every decision bit-exactly.
-fn wire_replay(topo: &Topology, trace: &Trace, wire: WireMode) -> BTreeMap<u64, WireOutcome> {
-    let (addr, handle, join) = wire_daemon(topo, trace.len() + 64);
-    let mut w = TcpStream::connect(addr).expect("connect wire daemon");
-    w.set_read_timeout(Some(Duration::from_secs(60)))
-        .expect("set read timeout");
-    let mut rx = WireRx::new(w.try_clone().expect("clone stream"), wire);
-    if wire == WireMode::Binary {
-        w.write_all(&WIRE_MAGIC).expect("binary preamble");
-    }
-    for r in trace.iter() {
-        wire_send(&mut w, wire, &wire_submit(r));
-    }
-    wire_send(&mut w, wire, &ClientMsg::Drain);
-    w.flush().expect("flush submits");
-    let mut out = BTreeMap::new();
-    while out.len() < trace.len() {
-        match rx.next() {
-            ServerMsg::Accepted {
-                id,
-                bw,
-                start,
-                finish,
-            } => {
-                out.insert(
-                    id,
-                    WireOutcome::Granted {
-                        bw: bw.to_bits(),
-                        start: start.to_bits(),
-                        finish: finish.to_bits(),
-                    },
-                );
-            }
-            ServerMsg::Rejected { id, reason, .. } => {
-                out.insert(id, WireOutcome::Denied(format!("{reason:?}")));
-            }
-            ServerMsg::Draining { .. } => {}
-            other => panic!("unexpected wire reply {other:?}"),
-        }
-    }
-    drop(rx);
-    drop(w);
-    handle.shutdown();
-    join.join()
-        .expect("wire daemon thread")
-        .expect("wire daemon");
-    out
-}
-
-/// Replay `trace` split round-robin across `connections` concurrent
-/// connections, a pipelined reader per connection, timing every
-/// submit-to-decision sojourn plus the whole run's wall clock.
-fn wire_loaded(topo: &Topology, trace: &Trace, connections: usize, wire: WireMode) -> WireRow {
-    let (addr, handle, join) = wire_daemon(topo, trace.len() + 64);
-    let chunks: Vec<Vec<Request>> = (0..connections)
-        .map(|c| trace.iter().skip(c).step_by(connections).copied().collect())
-        .collect();
-    let barrier = Arc::new(Barrier::new(connections));
-    let t0 = Instant::now();
-    let workers: Vec<_> = chunks
-        .into_iter()
-        .enumerate()
-        .map(|(ci, chunk)| {
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                let mut w = TcpStream::connect(addr).expect("connect wire daemon");
-                w.set_read_timeout(Some(Duration::from_secs(120)))
-                    .expect("set read timeout");
-                if wire == WireMode::Binary {
-                    w.write_all(&WIRE_MAGIC).expect("binary preamble");
-                }
-                let expect = chunk.len();
-                let rstream = w.try_clone().expect("clone stream");
-                let reader = std::thread::spawn(move || {
-                    let mut rx = WireRx::new(rstream, wire);
-                    let mut decided = Vec::with_capacity(expect);
-                    while decided.len() < expect {
-                        match rx.next() {
-                            ServerMsg::Accepted { id, .. } => {
-                                decided.push((id, Instant::now(), true))
-                            }
-                            ServerMsg::Rejected { id, .. } => {
-                                decided.push((id, Instant::now(), false))
-                            }
-                            ServerMsg::Draining { .. } => {}
-                            other => panic!("unexpected wire reply {other:?}"),
-                        }
-                    }
-                    decided
-                });
-                let mut submitted = Vec::with_capacity(chunk.len());
-                for r in &chunk {
-                    submitted.push((r.id.0, Instant::now()));
-                    wire_send(&mut w, wire, &wire_submit(r));
-                }
-                w.flush().expect("flush submits");
-                barrier.wait();
-                if ci == 0 {
-                    // Exactly one Drain, after every connection has
-                    // finished submitting: a second one would flip the
-                    // engine into its draining state mid-stream and turn
-                    // live submits into `Drained` rejections.
-                    wire_send(&mut w, wire, &ClientMsg::Drain);
-                    w.flush().expect("flush drain");
-                }
-                let decided = reader.join().expect("wire reader thread");
-                (submitted, decided)
-            })
-        })
-        .collect();
-
-    let mut lat_ns = Vec::with_capacity(trace.len());
-    let mut granted = 0usize;
-    for worker in workers {
-        let (submitted, decided) = worker.join().expect("wire worker thread");
-        let at: HashMap<u64, Instant> = submitted.into_iter().collect();
-        for (id, when, ok) in decided {
-            granted += usize::from(ok);
-            lat_ns.push((when - at[&id]).as_nanos() as u64);
-        }
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
-    handle.shutdown();
-    join.join()
-        .expect("wire daemon thread")
-        .expect("wire daemon");
-    WireRow {
-        wire: wire.to_string(),
-        requests: trace.len(),
-        granted,
-        submissions_per_sec: trace.len() as f64 / elapsed.max(1e-9),
-        decision_latency_us: latency_summary(lat_ns),
-    }
-}
-
-fn wire_section(smoke: bool) -> WireReport {
-    let topo = Topology::uniform(8, 8, 120.0);
-    let (interarrival, horizon, connections) = if smoke {
-        (1.0, 300.0, 4)
-    } else {
-        (0.5, 2_000.0, 8)
-    };
-    let trace = WorkloadBuilder::new(topo.clone())
-        .mean_interarrival(interarrival)
-        .slack(Dist::Uniform { lo: 2.0, hi: 4.0 })
-        .horizon(horizon)
-        .seed(29)
-        .build();
-
-    // Differential first: one connection per codec, same trace, same
-    // fresh deterministic engine — any decision delta is a codec bug.
-    let json = wire_replay(&topo, &trace, WireMode::Json);
-    let binary = wire_replay(&topo, &trace, WireMode::Binary);
-    let granted = json
-        .values()
-        .filter(|d| matches!(d, WireOutcome::Granted { .. }))
-        .count();
-    let codec_divergence = json
-        .iter()
-        .filter(|(id, d)| binary.get(*id) != Some(*d))
-        .count()
-        + json.len().abs_diff(binary.len());
-
-    let rows = vec![
-        wire_loaded(&topo, &trace, connections, WireMode::Json),
-        wire_loaded(&topo, &trace, connections, WireMode::Binary),
-    ];
-    WireReport {
-        requests: trace.len(),
-        connections,
-        granted,
-        codec_divergence,
-        rows,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// main
-// ---------------------------------------------------------------------------
 
 // ---------------------------------------------------------------------------
 // QoS: leftover-bandwidth redistribution on the §5.3 workload
@@ -2249,24 +1714,6 @@ fn main() {
         );
     }
 
-    eprintln!("admission bench: shard-parallel admission rounds ...");
-    let (par_n, par_rounds): (usize, usize) = if smoke { (1_200, 10) } else { (12_000, 40) };
-    let parallel = parallel_section(&[1, 2, 4, 8], seeds, par_n, par_rounds);
-    for r in &parallel {
-        eprintln!(
-            "  {:>6} seed {} t={}: {:>6.1} rounds/s ({:>5.2}x), p99 {:>9.1} us, mean shards {:>4.1}, accepted {}, mismatches {}",
-            r.policy,
-            r.seed,
-            r.threads,
-            r.rounds_per_sec,
-            r.speedup_vs_sequential,
-            r.round_latency_us.p99,
-            r.mean_shards,
-            r.accepted,
-            r.mismatches
-        );
-    }
-
     eprintln!("admission bench: WAL durability ...");
     let wal_records = if smoke { 2_000 } else { 20_000 };
     let durability = durability_section(wal_records);
@@ -2306,24 +1753,6 @@ fn main() {
             r.timeouts,
             r.divergence_vs_solo,
             r.conservation_violations
-        );
-    }
-
-    eprintln!("admission bench: wire codec comparison ...");
-    let wire = wire_section(smoke);
-    eprintln!(
-        "  {} requests, divergence {} ({} granted in the reference replay)",
-        wire.requests, wire.codec_divergence, wire.granted
-    );
-    for r in &wire.rows {
-        eprintln!(
-            "  {:>6} x{} conns: {:>8.0} submissions/s, decision p50 {:>9.1} us p99 {:>9.1} us, {} granted",
-            r.wire,
-            wire.connections,
-            r.submissions_per_sec,
-            r.decision_latency_us.p50,
-            r.decision_latency_us.p99,
-            r.granted
         );
     }
 
@@ -2391,17 +1820,15 @@ fn main() {
     );
 
     let report = Report {
-        schema: "gridband/bench-admission/v7".to_string(),
+        schema: "gridband/bench-admission/v8".to_string(),
         mode: if smoke { "smoke" } else { "full" }.to_string(),
         host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
         micro,
         differential,
         end_to_end,
-        parallel,
         durability,
         replication,
         cluster,
-        wire,
         qos,
         malleable,
         soak,
@@ -2427,27 +1854,6 @@ fn main() {
                 r.scheduler, r.seed
             );
             failed = true;
-        }
-    }
-    for r in &report.parallel {
-        if r.mismatches > 0 {
-            eprintln!(
-                "FAIL: {} seed {} at {} threads diverged from the sequential reference ({} mismatches)",
-                r.policy, r.seed, r.threads, r.mismatches
-            );
-            failed = true;
-        }
-        // No-regression gate for the default path: threads=1 must stay
-        // within noise of the pre-shard plain driver. 1.5x plus a small
-        // absolute slop tolerates scheduler jitter on short rounds.
-        if let Some(baseline) = r.plain_baseline_p99_us {
-            if r.round_latency_us.p99 > 1.5 * baseline + 200.0 {
-                eprintln!(
-                    "FAIL: {} seed {} threads=1 p99 {:.1} us regressed vs plain path {:.1} us",
-                    r.policy, r.seed, r.round_latency_us.p99, baseline
-                );
-                failed = true;
-            }
         }
     }
     // Replication gates: the lag/failover numbers only mean something if
@@ -2492,46 +1898,6 @@ fn main() {
                 r.conservation_violations
             );
             failed = true;
-        }
-    }
-    // Wire gates: the binary codec must be a pure re-encoding (zero
-    // bit-level decision divergence, non-vacuously) and must actually
-    // pay for itself on the decision path.
-    {
-        let w = &report.wire;
-        if w.codec_divergence > 0 {
-            eprintln!(
-                "FAIL: binary and JSON codecs diverged on {} of {} decisions",
-                w.codec_divergence, w.requests
-            );
-            failed = true;
-        }
-        if w.granted == 0 || w.granted == w.requests {
-            eprintln!(
-                "FAIL: wire differential is vacuous ({} of {} granted — need a mix)",
-                w.granted, w.requests
-            );
-            failed = true;
-        }
-        let p99 = |name: &str| {
-            w.rows
-                .iter()
-                .find(|r| r.wire == name)
-                .map(|r| r.decision_latency_us.p99)
-        };
-        match (p99("json"), p99("binary")) {
-            (Some(j), Some(b)) => {
-                if b >= j {
-                    eprintln!(
-                        "FAIL: binary decision p99 {b:.1} us does not beat JSON p99 {j:.1} us"
-                    );
-                    failed = true;
-                }
-            }
-            _ => {
-                eprintln!("FAIL: wire section is missing a codec row");
-                failed = true;
-            }
         }
     }
     // QoS gates: the overlay must be invisible to admission (bit-exact

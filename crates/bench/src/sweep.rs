@@ -26,9 +26,10 @@ where
     }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    crossbeam::thread::scope(|scope| {
+    // A worker's panic propagates when the scope ends.
+    std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let k = next.fetch_add(1, Ordering::Relaxed);
                 if k >= n {
                     break;
@@ -37,8 +38,7 @@ where
                 *slots[k].lock().expect("result slot poisoned") = Some(r);
             });
         }
-    })
-    .expect("sweep worker panicked");
+    });
     slots
         .into_iter()
         .map(|m| m.into_inner().expect("slot poisoned").expect("slot filled"))

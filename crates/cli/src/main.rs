@@ -413,7 +413,6 @@ fn serve(args: Vec<String>) {
     let mut fsync = gridband_serve::FsyncPolicy::Round;
     let mut snapshot_every = 64u64;
     let mut gc_horizon: Option<f64> = None;
-    let mut admit_threads = gridband_net::default_admit_threads();
     let mut io_threads = 2usize;
     let mut replicate_to: Option<String> = None;
     let mut follow: Option<String> = None;
@@ -489,12 +488,6 @@ fn serve(args: Vec<String>) {
                     fail(format_args!("--gc-horizon must be finite and >= 0"));
                 }
                 gc_horizon = Some(s);
-            }
-            "--admit-threads" => {
-                admit_threads = val("--admit-threads")
-                    .parse::<usize>()
-                    .unwrap_or_else(|e| fail(format_args!("bad --admit-threads: {e}")))
-                    .max(1);
             }
             "--io-threads" => {
                 io_threads = val("--io-threads")
@@ -573,7 +566,6 @@ fn serve(args: Vec<String>) {
                       [--queue N] [--snapshot-secs S]
                       [--wal-dir DIR] [--fsync always|round|off]
                       [--snapshot-every ROUNDS] [--gc-horizon SECS]
-                      [--admit-threads N]
                       [--io-threads N] [--replicate-to HOST:PORT]
                       [--follow HOST:PORT [--promote-after SECS]]
                       [--shard-of I/N]
@@ -606,10 +598,6 @@ committed to the WAL before it is applied, so recovery — and any
 replication follower — replays to the identical compacted state, and
 no answer at or after the watermark ever changes. Off by default
 (the ledger keeps its full history).
-
---admit-threads N runs each admission round shard-parallel on up to N
-OS threads (default: GRIDBAND_ADMIT_THREADS, else 1). Decisions are
-bit-identical for every N, so WAL records and recovery are unaffected.
 
 --replicate-to streams the WAL to a hot-standby follower listening at
 HOST:PORT (requires --wal-dir); the daemon runs as the primary.
@@ -660,7 +648,6 @@ Rigid submissions decide bit-identically with or without the flag."
     engine.policy = policy;
     engine.mode = mode;
     engine.queue_capacity = queue;
-    engine.admit_threads = admit_threads;
     engine.gc_horizon = gc_horizon;
     engine.qos = qos;
     engine.malleable = malleable;

@@ -1,7 +1,7 @@
 //! How the admission-round conflict partition relates to static shard
 //! ownership, probed at the adversarial corners.
 //!
-//! A [`Partition`] component is a set of requests transitively coupled
+//! A conflict component is a set of requests transitively coupled
 //! through shared ports; a [`ShardMap`] is a static cut of the port
 //! space. The invariant that makes single-shard forwarding sound is
 //! directional: a component whose every route respects the map lives
@@ -11,16 +11,43 @@
 //! straddle shards, and exactly those need the two-phase protocol.
 
 use gridband_cluster::{Placement, ShardMap};
-use gridband_net::{partition_routes, Route, Topology};
+use gridband_net::{Route, Topology};
+
+/// Connected components of a batch's port-conflict graph (two routes are
+/// coupled when they share an ingress or an egress port), each a list of
+/// indices into `routes`.
+fn components(routes: &[Route]) -> Vec<Vec<usize>> {
+    fn find(parent: &mut [usize], mut x: usize) -> usize {
+        while parent[x] != x {
+            parent[x] = parent[parent[x]];
+            x = parent[x];
+        }
+        x
+    }
+    // Node 2p is ingress p, node 2p + 1 is egress p.
+    let node = |r: &Route| (2 * r.ingress.0 as usize, 2 * r.egress.0 as usize + 1);
+    let nodes = routes.iter().map(|r| node(r).0.max(node(r).1) + 1).max();
+    let mut parent: Vec<usize> = (0..nodes.unwrap_or(0)).collect();
+    for r in routes {
+        let (a, b) = (find(&mut parent, node(r).0), find(&mut parent, node(r).1));
+        parent[a] = b;
+    }
+    let mut by_root = std::collections::BTreeMap::<usize, Vec<usize>>::new();
+    for (i, r) in routes.iter().enumerate() {
+        by_root
+            .entry(find(&mut parent, node(r).0))
+            .or_default()
+            .push(i);
+    }
+    by_root.into_values().collect()
+}
 
 /// Every route of every component that respects the map must land on
 /// the same shard as the rest of its component.
 fn assert_components_confined(routes: &[Route], map: &ShardMap) {
-    let partition = partition_routes(routes);
-    for comp in partition.components() {
-        if comp.members.iter().all(|&i| map.respects(routes[i])) {
+    for comp in components(routes) {
+        if comp.iter().all(|&i| map.respects(routes[i])) {
             let owners: std::collections::BTreeSet<usize> = comp
-                .members
                 .iter()
                 .map(
                     |&i| match map.placement(routes[i].ingress.0, routes[i].egress.0) {
@@ -61,12 +88,12 @@ fn every_route_crossing_the_cut_is_classified_cross() {
     }
     // The conflict graph still partitions them (shared ports couple
     // them into components); none of those components is confined.
-    let partition = partition_routes(&routes);
+    let partition = components(&routes);
     assert!(!partition.is_empty());
     assert_components_confined(&routes, &map); // vacuously: no confined component
-    for comp in partition.components() {
+    for comp in &partition {
         assert!(
-            comp.members.iter().any(|&i| !map.respects(routes[i])),
+            comp.iter().any(|&i| !map.respects(routes[i])),
             "an all-cross batch produced a respecting component"
         );
     }
@@ -85,10 +112,9 @@ fn single_giant_shard_confines_every_component() {
         routes.push(Route::new(i, i));
         routes.push(Route::new(i, (i + 1) % 6));
     }
-    let partition = partition_routes(&routes);
     assert_eq!(
-        partition.largest(),
-        routes.len(),
+        components(&routes).iter().map(Vec::len).max(),
+        Some(routes.len()),
         "the chain should couple everything into one component"
     );
     for r in &routes {
@@ -124,8 +150,11 @@ fn block_boundary_ties_break_toward_the_lower_shard() {
     // 2) containing both respecting and crossing members — so it is
     // NOT confined, and the confinement check must not claim it.
     let routes = vec![Route::new(1, 1), Route::new(1, 2), Route::new(2, 2)];
-    let partition = partition_routes(&routes);
-    assert_eq!(partition.len(), 1, "boundary chain should be one component");
+    assert_eq!(
+        components(&routes).len(),
+        1,
+        "boundary chain should be one component"
+    );
     assert!(
         !routes.iter().all(|r| map.respects(*r)),
         "the boundary component must contain a crossing member"

@@ -25,15 +25,12 @@
 //! operation is what keeps readers out until the commit has run.
 
 use crate::error::{NetError, NetResult};
-use crate::partition::{partition_indexed, Partition};
 use crate::port::{EgressId, IngressId, PortRef, Route};
 use crate::profile::CapacityProfile;
 use crate::topology::Topology;
 use crate::units::{Bandwidth, Time, EPS};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Opaque handle to a live reservation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -1279,262 +1276,6 @@ impl CapacityLedger {
         self.watermark = state.watermark.unwrap_or(f64::NEG_INFINITY);
         Ok(())
     }
-
-    /// Carve the ledger into per-component [`SubLedger`]s, one per
-    /// component of `partition`. The named ports' profiles are *moved*
-    /// out (each slot is left holding a fresh empty profile of the same
-    /// capacity), so the shards own disjoint state and can be booked from
-    /// different threads with no synchronization. Pair every `split`
-    /// with a [`merge`](Self::merge) of the same shards.
-    ///
-    /// The partition must name disjoint port sets (as
-    /// [`partition_indexed`] guarantees); overlapping components would
-    /// silently split one port's bookings across shards.
-    pub fn split(&mut self, partition: &Partition) -> Vec<SubLedger> {
-        partition
-            .components()
-            .iter()
-            .map(|c| SubLedger {
-                ingress: c
-                    .ingress
-                    .iter()
-                    .map(|&p| {
-                        let slot = &mut self.ingress[p as usize];
-                        let fresh = CapacityProfile::new(slot.capacity());
-                        (p, std::mem::replace(slot, fresh))
-                    })
-                    .collect(),
-                egress: c
-                    .egress
-                    .iter()
-                    .map(|&p| {
-                        let slot = &mut self.egress[p as usize];
-                        let fresh = CapacityProfile::new(slot.capacity());
-                        (p, std::mem::replace(slot, fresh))
-                    })
-                    .collect(),
-            })
-            .collect()
-    }
-
-    /// Reinstall profiles moved out by [`split`](Self::split). Shards may
-    /// be returned in any order; each profile goes back to the port it
-    /// was taken from.
-    pub fn merge(&mut self, shards: Vec<SubLedger>) {
-        for shard in shards {
-            for (p, profile) in shard.ingress {
-                self.ingress[p as usize] = profile;
-            }
-            for (p, profile) in shard.egress {
-                self.egress[p as usize] = profile;
-            }
-        }
-    }
-
-    /// [`reserve_all`](Self::reserve_all), admitted shard-parallel on up
-    /// to `threads` OS threads — and **bit-identical** to it: same
-    /// accept/reject results, same error values, same reservation ids,
-    /// and byte-for-byte equal port profiles.
-    ///
-    /// Why that holds: two batch entries interact only through a shared
-    /// ingress or egress port, so the connected components of the batch's
-    /// port-conflict graph ([`partition_indexed`]) are fully independent.
-    /// Booking a component touches exactly its own ports, and within a
-    /// component the members are booked in ascending batch order — so
-    /// every port sees the *same sequence of float operations* as under
-    /// the sequential path, regardless of how components interleave
-    /// across threads. Reservation ids are assigned after the parallel
-    /// phase, walking the batch in order, which reproduces the sequential
-    /// numbering exactly.
-    ///
-    /// `threads <= 1` short-circuits to plain [`reserve_all`] — no
-    /// partitioning, no extra threads — so differential tests comparing
-    /// `threads = 1` against `threads > 1` genuinely exercise the
-    /// split/merge machinery against the untouched sequential reference.
-    pub fn reserve_all_threaded(
-        &mut self,
-        batch: &[ReserveRequest],
-        threads: usize,
-    ) -> Vec<NetResult<ReservationId>> {
-        if threads <= 1 || batch.len() < 2 {
-            return self.reserve_all(batch);
-        }
-        // Validation reads only the topology and the request's own scalar
-        // fields — never the profiles — so hoisting it out of the booking
-        // loop cannot change any outcome.
-        let mut outcomes: Vec<Option<NetResult<()>>> = batch
-            .iter()
-            .map(|r| {
-                self.validate(r.route, r.start, r.end, r.bw)
-                    .err()
-                    .map(Err::<(), NetError>)
-            })
-            .collect();
-        let valid: Vec<(usize, Route)> = batch
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| outcomes[i].is_none())
-            .map(|(i, r)| (i, r.route))
-            .collect();
-        let partition = partition_indexed(&valid);
-        let ncomp = partition.len();
-        if ncomp > 0 {
-            // One shard's sub-ledger plus its (batch index, outcome) pairs.
-            type ShardSlot = Mutex<(SubLedger, Vec<(usize, NetResult<()>)>)>;
-            let shards = self.split(&partition);
-            let slots: Vec<ShardSlot> = shards
-                .into_iter()
-                .map(|s| Mutex::new((s, Vec::new())))
-                .collect();
-            let next = AtomicUsize::new(0);
-            let components = partition.components();
-            let result = crossbeam::thread::scope(|scope| {
-                for _ in 0..threads.min(ncomp) {
-                    scope.spawn(|_| loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= ncomp {
-                            break;
-                        }
-                        let mut guard = slots[k].lock().expect("shard mutex poisoned");
-                        let (sub, results) = &mut *guard;
-                        for &m in &components[k].members {
-                            results.push((m, sub.book(&batch[m])));
-                        }
-                        sub.commit_indexes();
-                    });
-                }
-            });
-            if let Err(panic) = result {
-                std::panic::resume_unwind(panic);
-            }
-            let mut merged: Vec<SubLedger> = Vec::with_capacity(ncomp);
-            for slot in slots {
-                let (sub, results) = slot.into_inner().expect("shard mutex poisoned");
-                for (m, r) in results {
-                    outcomes[m] = Some(r);
-                }
-                merged.push(sub);
-            }
-            self.merge(merged);
-        }
-        // Commit every profile, exactly like `reserve_all`. Ports outside
-        // the batch already have a fresh index (commit is a no-op there);
-        // ports inside it were committed shard-side before the merge.
-        self.commit();
-        // Ids in batch order over the successes = the sequential numbering.
-        batch
-            .iter()
-            .zip(outcomes)
-            .map(|(r, o)| match o.expect("every batch entry was decided") {
-                Ok(()) => {
-                    let id = self.next_id;
-                    self.next_id += 1;
-                    self.live.insert(
-                        id,
-                        Reservation {
-                            route: r.route,
-                            start: r.start,
-                            end: r.end,
-                            bw: r.bw,
-                        },
-                    );
-                    Ok(ReservationId(id))
-                }
-                Err(e) => Err(e),
-            })
-            .collect()
-    }
-}
-
-/// The profiles of one connected component's ports, moved out of a
-/// [`CapacityLedger`] by [`CapacityLedger::split`]. Owns its state
-/// outright — booking into one shard cannot observe or disturb another —
-/// which is what makes shard-parallel admission race-free *and*
-/// bit-identical (each port's float-operation sequence is unchanged).
-#[derive(Debug)]
-pub struct SubLedger {
-    /// `(port index, profile)` for each ingress port, ascending by port.
-    ingress: Vec<(u32, CapacityProfile)>,
-    /// `(port index, profile)` for each egress port, ascending by port.
-    egress: Vec<(u32, CapacityProfile)>,
-}
-
-impl SubLedger {
-    fn ingress_mut(&mut self, p: u32) -> &mut CapacityProfile {
-        let i = self
-            .ingress
-            .binary_search_by_key(&p, |&(q, _)| q)
-            .expect("route booked into the shard owning its ingress port");
-        &mut self.ingress[i].1
-    }
-
-    fn egress_mut(&mut self, p: u32) -> &mut CapacityProfile {
-        let i = self
-            .egress
-            .binary_search_by_key(&p, |&(q, _)| q)
-            .expect("route booked into the shard owning its egress port");
-        &mut self.egress[i].1
-    }
-
-    /// Profile of one ingress port owned by this shard, if any.
-    pub fn ingress_profile(&self, p: u32) -> Option<&CapacityProfile> {
-        self.ingress
-            .binary_search_by_key(&p, |&(q, _)| q)
-            .ok()
-            .map(|i| &self.ingress[i].1)
-    }
-
-    /// Profile of one egress port owned by this shard, if any.
-    pub fn egress_profile(&self, p: u32) -> Option<&CapacityProfile> {
-        self.egress
-            .binary_search_by_key(&p, |&(q, _)| q)
-            .ok()
-            .map(|i| &self.egress[i].1)
-    }
-
-    /// Book one (already validated) request against this shard's ports,
-    /// with exactly the semantics — including the error values — of the
-    /// deferred-index path of [`CapacityLedger::reserve`]. Both ports of
-    /// the route must belong to this shard.
-    pub fn book(&mut self, r: &ReserveRequest) -> NetResult<()> {
-        let (start, end, bw) = (r.start, r.end, r.bw);
-        if let Err(at) = self
-            .ingress_mut(r.route.ingress.0)
-            .allocate_deferred(start, end, bw)
-        {
-            let p = self.ingress_mut(r.route.ingress.0);
-            return Err(NetError::CapacityExceeded {
-                port: PortRef::In(r.route.ingress),
-                capacity: p.capacity(),
-                requested: p.alloc_at(at) + bw,
-                at,
-            });
-        }
-        if let Err(at) = self
-            .egress_mut(r.route.egress.0)
-            .allocate_deferred(start, end, bw)
-        {
-            self.ingress_mut(r.route.ingress.0)
-                .release_deferred(start, end, bw)
-                .expect("rollback of a just-made allocation cannot fail");
-            let p = self.egress_mut(r.route.egress.0);
-            return Err(NetError::CapacityExceeded {
-                port: PortRef::Out(r.route.egress),
-                capacity: p.capacity(),
-                requested: p.alloc_at(at) + bw,
-                at,
-            });
-        }
-        Ok(())
-    }
-
-    /// Rebuild the query index of every profile in this shard (the shard
-    /// side of [`CapacityLedger::reserve_all`]'s one-commit-per-round).
-    pub fn commit_indexes(&mut self) {
-        for (_, p) in self.ingress.iter_mut().chain(self.egress.iter_mut()) {
-            p.commit_index();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -2004,80 +1745,6 @@ mod tests {
             batched.max_fit(Route::new(1, 0), 0.0, 20.0),
             seq.max_fit(Route::new(1, 0), 0.0, 20.0)
         );
-    }
-
-    #[test]
-    fn reserve_all_threaded_is_bit_identical_to_sequential() {
-        // Mixed batch: two independent components, one invalid entry, one
-        // capacity reject inside a component.
-        let batch = [
-            ReserveRequest {
-                route: Route::new(0, 0),
-                start: 0.0,
-                end: 10.0,
-                bw: 60.0,
-            },
-            ReserveRequest {
-                route: Route::new(1, 1),
-                start: 0.0,
-                end: 10.0,
-                bw: 80.0,
-            },
-            ReserveRequest {
-                route: Route::new(5, 0),
-                start: 0.0,
-                end: 1.0,
-                bw: 1.0, // invalid: unknown ingress
-            },
-            ReserveRequest {
-                route: Route::new(0, 0),
-                start: 0.0,
-                end: 10.0,
-                bw: 50.0, // rejected: ingress 0 has only 40 left
-            },
-            ReserveRequest {
-                route: Route::new(1, 1),
-                start: 10.0,
-                end: 20.0,
-                bw: 100.0,
-            },
-        ];
-        for threads in [2, 4, 8] {
-            let mut seq = small();
-            let seq_res = seq.reserve_all(&batch);
-            let mut par = small();
-            let par_res = par.reserve_all_threaded(&batch, threads);
-            assert_eq!(seq_res.len(), par_res.len());
-            for (s, p) in seq_res.iter().zip(&par_res) {
-                match (s, p) {
-                    (Ok(a), Ok(b)) => assert_eq!(a, b),
-                    (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
-                    _ => panic!("accept/reject mismatch at threads={threads}"),
-                }
-            }
-            assert_eq!(seq.export_state(), par.export_state());
-        }
-    }
-
-    #[test]
-    fn split_merge_roundtrips_the_ledger() {
-        let mut l = small();
-        l.reserve(Route::new(0, 1), 0.0, 10.0, 33.0).unwrap();
-        l.reserve(Route::new(1, 0), 2.0, 8.0, 41.0).unwrap();
-        let before = l.export_state();
-        let partition = crate::partition::partition_routes(&[Route::new(0, 1), Route::new(1, 0)]);
-        let shards = l.split(&partition);
-        // Split moves the booked profiles out, leaving empty slots.
-        assert!(l.ingress_profile(IngressId(0)).is_empty());
-        let total: usize = shards
-            .iter()
-            .map(|s| {
-                s.ingress_profile(0).is_some() as usize + s.ingress_profile(1).is_some() as usize
-            })
-            .sum();
-        assert_eq!(total, 2);
-        l.merge(shards);
-        assert_eq!(l.export_state(), before);
     }
 
     #[test]

@@ -45,7 +45,6 @@
 
 pub mod error;
 pub mod ledger;
-pub mod partition;
 pub mod port;
 pub mod profile;
 pub mod topology;
@@ -54,10 +53,7 @@ pub mod units;
 pub use error::{NetError, NetResult};
 pub use ledger::{
     CapacityLedger, GcStats, HoldId, LedgerState, PortHold, ReleaseRequest, Reservation,
-    ReservationId, ReserveRequest, SegSpan, SegmentedReservation, SubLedger,
-};
-pub use partition::{
-    default_admit_threads, partition_indexed, partition_routes, Component, Partition,
+    ReservationId, ReserveRequest, SegSpan, SegmentedReservation,
 };
 pub use port::{Direction, EgressId, IngressId, Port, PortRef, Route};
 pub use profile::{Breakpoint, CapacityProfile};

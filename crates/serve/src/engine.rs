@@ -79,10 +79,6 @@ pub struct EngineConfig {
     /// never arrives must surface as a timeout, not as capacity pinned
     /// forever.
     pub hold_timeout: f64,
-    /// Admission rounds run shard-parallel on up to this many OS threads
-    /// (1 = sequential; decisions are bit-identical either way, so WAL
-    /// records and recovery are thread-count-independent).
-    pub admit_threads: usize,
     /// Watermark GC lag in virtual seconds: after each round at `t` the
     /// engine advances a GC watermark to `t - gc_horizon`, truncating
     /// profile history and expired reservations older than that. The
@@ -129,7 +125,6 @@ impl EngineConfig {
             history_capacity: 1 << 20,
             max_horizon: 1e6,
             hold_timeout: 100.0,
-            admit_threads: gridband_net::default_admit_threads(),
             gc_horizon: None,
             store: None,
             role: Role::Solo,
@@ -421,11 +416,7 @@ impl EngineLoop {
             config.step,
             config.history_capacity,
         );
-        let sched = WindowScheduler::new(config.step, config.policy)
-            .with_threads(config.admit_threads.max(1));
-        metrics
-            .admit_threads
-            .store(config.admit_threads.max(1) as u64, Ordering::Relaxed);
+        let sched = WindowScheduler::new(config.step, config.policy);
         let store_cfg = config.store.clone();
         let qos = config.qos.map(|cfg| {
             Redistributor::new(
@@ -1140,18 +1131,6 @@ impl EngineLoop {
         // instead of one per reservation. Results are consumed in decision
         // order, so the outcome is identical to sequential `reserve` calls.
         let decisions = self.sched.on_tick(&self.st.ledger, t);
-        // Gauges track the most recent round *with candidates*: an empty
-        // round (nothing pending at the tick) leaves the previous values
-        // in place instead of blanking them to zero.
-        if self.sched.last_round_shards() > 0 {
-            self.metrics
-                .shards
-                .store(self.sched.last_round_shards() as u64, Ordering::Relaxed);
-            self.metrics.largest_shard.store(
-                self.sched.last_round_largest_shard() as u64,
-                Ordering::Relaxed,
-            );
-        }
         let mut in_batch = Vec::with_capacity(decisions.len());
         let mut batch = Vec::new();
         for &(rid, d) in &decisions {
@@ -1173,11 +1152,7 @@ impl EngineLoop {
             };
             in_batch.push(added);
         }
-        let mut results = self
-            .st
-            .ledger
-            .reserve_all_threaded(&batch, self.config.admit_threads.max(1))
-            .into_iter();
+        let mut results = self.st.ledger.reserve_all(&batch).into_iter();
         for ((rid, decision), booked) in decisions.into_iter().zip(in_batch) {
             let prebooked = if booked { results.next() } else { None };
             self.apply_decision(rid.0, decision, t, prebooked);

@@ -242,13 +242,6 @@ pub struct MetricsRegistry {
     pub snapshots_written: AtomicU64,
     /// WAL records replayed during recovery at startup.
     pub recovery_replayed_records: AtomicU64,
-    /// Configured admission parallelism (gauge; 1 = sequential).
-    pub admit_threads: AtomicU64,
-    /// Conflict-graph shards of the most recent admission round (gauge).
-    pub shards: AtomicU64,
-    /// Candidate count of the largest shard in the most recent round
-    /// (gauge).
-    pub largest_shard: AtomicU64,
     /// Submit → decision latency.
     pub decision_latency: LatencyHistogram,
     /// WAL fsync latency (per append or per round, by policy).
@@ -392,9 +385,9 @@ impl MetricsRegistry {
             wal_bytes: ld(&self.wal_bytes),
             snapshots_written: ld(&self.snapshots_written),
             recovery_replayed_records: ld(&self.recovery_replayed_records),
-            admit_threads: ld(&self.admit_threads),
-            shards: ld(&self.shards),
-            largest_shard: ld(&self.largest_shard),
+            admit_threads: 1,
+            shards: 0,
+            largest_shard: 0,
             repl_records_shipped: ld(&self.repl_records_shipped),
             repl_bytes_shipped: ld(&self.repl_bytes_shipped),
             repl_snapshots_shipped: ld(&self.repl_snapshots_shipped),
@@ -485,11 +478,11 @@ pub struct StatsSnapshot {
     pub snapshots_written: u64,
     /// WAL records replayed during recovery at startup.
     pub recovery_replayed_records: u64,
-    /// Configured admission parallelism (1 = sequential).
+    /// Always 1. Reserved; removed by ROADMAP 1(d)'s self-describing Stats.
     pub admit_threads: u64,
-    /// Conflict-graph shards of the most recent admission round.
+    /// Always 0. Reserved; removed by ROADMAP 1(d)'s self-describing Stats.
     pub shards: u64,
-    /// Candidate count of the largest shard in the most recent round.
+    /// Always 0. Reserved; removed by ROADMAP 1(d)'s self-describing Stats.
     pub largest_shard: u64,
     /// Primary: WAL records shipped to the follower.
     pub repl_records_shipped: u64,

@@ -21,34 +21,19 @@ use std::collections::HashMap;
 pub struct Simulation {
     topo: Topology,
     verify: bool,
-    admit_threads: usize,
 }
 
 impl Simulation {
     /// A simulation over the given topology, with end-of-run verification
-    /// enabled. Round bookings default to the parallelism named by the
-    /// `GRIDBAND_ADMIT_THREADS` environment variable (1 when unset);
-    /// results are bit-identical for every thread count.
+    /// enabled.
     pub fn new(topo: Topology) -> Self {
-        Simulation {
-            topo,
-            verify: true,
-            admit_threads: gridband_net::default_admit_threads(),
-        }
+        Simulation { topo, verify: true }
     }
 
     /// Disable the end-of-run feasibility check (benchmarks that measure
     /// scheduler throughput only).
     pub fn without_verification(mut self) -> Self {
         self.verify = false;
-        self
-    }
-
-    /// Book admission rounds shard-parallel on up to `threads` OS threads
-    /// (`0` and `1` both mean sequential), via
-    /// [`CapacityLedger::reserve_all_threaded`].
-    pub fn with_admit_threads(mut self, threads: usize) -> Self {
-        self.admit_threads = threads.max(1);
         self
     }
 
@@ -167,9 +152,7 @@ impl Simulation {
                     _ => None,
                 })
                 .collect();
-            let mut results = ledger
-                .reserve_all_threaded(&batch, self.admit_threads)
-                .into_iter();
+            let mut results = ledger.reserve_all(&batch).into_iter();
             for (id, d) in decisions {
                 match d {
                     Decision::Accept { bw, start, finish } => {

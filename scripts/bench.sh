@@ -2,18 +2,13 @@
 # Regenerate BENCH_admission.json: micro indexed-vs-linear profile query
 # timings, an indexed/linear differential check, the §5.3 end-to-end
 # admission rounds (decisions/sec, p50/p99 round latency) cross-checked
-# against the event-driven simulator, and the shard-parallel thread sweep
-# (rounds/sec and p99 at 1/2/4/8 threads, every threaded run compared
-# round-by-round against the sequential reference — mismatches gate to 0),
+# against the event-driven simulator,
 # plus the WAL-streaming replication group (batch-to-standby sync lag,
 # failover-to-first-decision time, hard-gated on zero divergence and a
 # byte-identical follower store) and the topology-sharded cluster group
 # (shards × cross-fraction router throughput, hard-gated on zero
 # divergence vs a solo run and zero conservation violations) and the
-# wire group (JSON-lines vs the binary frame codec against live daemons:
-# submissions/sec and submit-to-decision p50/p99 per codec, hard-gated
-# on zero bit-level decision divergence between the codecs and on the
-# binary p99 beating the JSON baseline) and the long-horizon GC soak
+# long-horizon GC soak
 # (≥10⁶ requests through a watermark-collected ledger: hard-gated on
 # flat per-quintile breakpoint counts, RSS, and round p99, on the sweep
 # actually collecting, and on zero decision divergence against a

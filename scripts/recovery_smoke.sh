@@ -6,11 +6,6 @@
 # allocation, and this script additionally diffs the end-to-end
 # accept counts against an uninterrupted reference run.
 #
-# The kill/recover leg runs twice: once sequential and once with
-# `--admit-threads 4`, both compared against the same sequential
-# reference — crash recovery must be oblivious to admission parallelism
-# (the WAL records decisions, not the execution strategy that made them).
-#
 # Usage: scripts/recovery_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -21,8 +16,6 @@ SEED=7
 REF_PORT=7531
 RUN_PORT=7532
 RESTART_PORT=7533
-PAR_RUN_PORT=7534
-PAR_RESTART_PORT=7535
 
 cargo build --release --quiet -p gridband-cli -p gridband-serve
 GRIDBAND=target/release/gridband
@@ -61,51 +54,34 @@ kill -9 "$DAEMON_PID" 2>/dev/null || true
 wait "$DAEMON_PID" 2>/dev/null || true
 DAEMON_PID=""
 
-# crash_leg LABEL WAL_DIR RUN_PORT RESTART_PORT OUT_JSON [extra serve flags...]
-crash_leg() {
-    local label=$1 wal=$2 run_port=$3 restart_port=$4 out=$5
-    shift 5
-    echo "== crashed run ($label): submit, SIGKILL at ~round 5, restart, resume ==" >&2
-    "$GRIDBAND" serve --addr "127.0.0.1:$run_port" --wal-dir "$wal" "$@" &
-    DAEMON_PID=$!
-    wait_port "$run_port"
-    "$LOADGEN" --addr "127.0.0.1:$run_port" --requests "$REQS" --seed "$SEED" \
-        --kill-after "$KILL_AT" --state "$WORK/resume-$label.json"
-    kill -9 "$DAEMON_PID" 2>/dev/null || true
-    wait "$DAEMON_PID" 2>/dev/null || true
-    DAEMON_PID=""
+echo "== crashed run: submit, SIGKILL at ~round 5, restart, resume ==" >&2
+"$GRIDBAND" serve --addr "127.0.0.1:$RUN_PORT" --wal-dir "$WORK/wal" &
+DAEMON_PID=$!
+wait_port "$RUN_PORT"
+"$LOADGEN" --addr "127.0.0.1:$RUN_PORT" --requests "$REQS" --seed "$SEED" \
+    --kill-after "$KILL_AT" --state "$WORK/resume.json"
+kill -9 "$DAEMON_PID" 2>/dev/null || true
+wait "$DAEMON_PID" 2>/dev/null || true
+DAEMON_PID=""
 
-    # A fresh port sidesteps TIME_WAIT on the killed listener.
-    "$GRIDBAND" serve --addr "127.0.0.1:$restart_port" --wal-dir "$wal" "$@" &
-    DAEMON_PID=$!
-    wait_port "$restart_port"
-    "$LOADGEN" --addr "127.0.0.1:$restart_port" --resume --state "$WORK/resume-$label.json" \
-        --json >"$out"
-    kill -9 "$DAEMON_PID" 2>/dev/null || true
-    wait "$DAEMON_PID" 2>/dev/null || true
-    DAEMON_PID=""
-}
-
-crash_leg seq "$WORK/wal" "$RUN_PORT" "$RESTART_PORT" "$WORK/resumed.json"
-crash_leg par "$WORK/wal-par" "$PAR_RUN_PORT" "$PAR_RESTART_PORT" "$WORK/resumed-par.json" \
-    --admit-threads 4
+# A fresh port sidesteps TIME_WAIT on the killed listener.
+"$GRIDBAND" serve --addr "127.0.0.1:$RESTART_PORT" --wal-dir "$WORK/wal" &
+DAEMON_PID=$!
+wait_port "$RESTART_PORT"
+"$LOADGEN" --addr "127.0.0.1:$RESTART_PORT" --resume --state "$WORK/resume.json" \
+    --json >"$WORK/resumed.json"
+kill -9 "$DAEMON_PID" 2>/dev/null || true
+wait "$DAEMON_PID" 2>/dev/null || true
+DAEMON_PID=""
 
 REF_REQ=$(requests_of "$WORK/ref.json")
 REF_ACC=$(accepted_of "$WORK/ref.json")
-FAIL=0
-for label in seq par; do
-    case $label in
-        seq) json="$WORK/resumed.json" ;;
-        par) json="$WORK/resumed-par.json" ;;
-    esac
-    RES_REQ=$(requests_of "$json")
-    RES_ACC=$(accepted_of "$json")
-    echo "reference:        $REF_ACC/$REF_REQ accepted" >&2
-    echo "recovered ($label): $RES_ACC/$RES_REQ accepted" >&2
-    if [ "$REF_REQ" != "$RES_REQ" ] || [ "$REF_ACC" != "$RES_ACC" ]; then
-        echo "recovery_smoke: FAIL — recovered $label run diverged from uninterrupted run" >&2
-        FAIL=1
-    fi
-done
-[ "$FAIL" -eq 0 ] || exit 1
-echo "recovery_smoke: OK — kill/recover/resume matches the uninterrupted run (sequential and --admit-threads 4)" >&2
+RES_REQ=$(requests_of "$WORK/resumed.json")
+RES_ACC=$(accepted_of "$WORK/resumed.json")
+echo "reference: $REF_ACC/$REF_REQ accepted" >&2
+echo "recovered: $RES_ACC/$RES_REQ accepted" >&2
+if [ "$REF_REQ" != "$RES_REQ" ] || [ "$REF_ACC" != "$RES_ACC" ]; then
+    echo "recovery_smoke: FAIL — recovered run diverged from uninterrupted run" >&2
+    exit 1
+fi
+echo "recovery_smoke: OK — kill/recover/resume matches the uninterrupted run" >&2

@@ -13,15 +13,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== build (release) ==" >&2
 cargo build --workspace --release
 
-echo "== test (GRIDBAND_ADMIT_THREADS=1) ==" >&2
-GRIDBAND_ADMIT_THREADS=1 cargo test --workspace -q
-
-echo "== test (GRIDBAND_ADMIT_THREADS=4) ==" >&2
-GRIDBAND_ADMIT_THREADS=4 cargo test --workspace -q
-
-echo "== parallel differential suite ==" >&2
-cargo test --release -q -p gridband-algos --test parallel_differential
-cargo test --release -q -p gridband-net --test partition_props
+echo "== test ==" >&2
+cargo test --workspace -q
 
 echo "== bench smoke ==" >&2
 scripts/bench.sh --smoke --out=target/BENCH_admission.smoke.json

@@ -2767,13 +2767,15 @@ mod tests {
     fn rigid_workloads_decide_identically_with_the_flag_on() {
         use gridband_workload::{Dist, WorkloadBuilder};
         let topo = Topology::uniform(2, 2, 120.0);
+        // Saturated: rigid WINDOW accepts 2 of its 139 requests.
         let trace = WorkloadBuilder::new(topo.clone())
             .mean_interarrival(0.8)
             .slack(Dist::Uniform { lo: 2.0, hi: 4.0 })
             .horizon(120.0)
             .seed(11)
             .build();
-        let run = |malleable: bool| -> Vec<ServerMsg> {
+        // `mixed` flags every even id malleable: exactly half the trace.
+        let run = |malleable: bool, mixed: bool| {
             let mut cfg = EngineConfig::new(topo.clone());
             cfg.step = 10.0;
             cfg.malleable = malleable;
@@ -2790,7 +2792,7 @@ mod tests {
                         start: Some(r.start()),
                         deadline: Some(r.finish()),
                         class: Default::default(),
-                        malleable: None,
+                        malleable: (mixed && r.id.0 % 2 == 0).then_some(true),
                     })
                 })
                 .collect();
@@ -2798,12 +2800,38 @@ mod tests {
             engine.shutdown();
             replies
         };
-        let off = run(false);
-        let on = run(true);
+        let accepted = |replies: &[ServerMsg]| {
+            replies
+                .iter()
+                .filter(|m| {
+                    matches!(
+                        m,
+                        ServerMsg::Accepted { .. } | ServerMsg::AcceptedSegments { .. }
+                    )
+                })
+                .count()
+        };
+        let off = run(false, false);
+        let on = run(true, false);
         assert!(
             off.iter().any(|m| matches!(m, ServerMsg::Accepted { .. })),
             "vacuous differential: nothing accepted"
         );
         assert_eq!(off, on, "the malleable path leaked into rigid admission");
+        // With half the trace malleable the water-filler must grant
+        // segmented plans, and at saturation they must buy accepts.
+        let mixed = run(true, true);
+        assert!(
+            mixed
+                .iter()
+                .any(|m| matches!(m, ServerMsg::AcceptedSegments { .. })),
+            "vacuous: no malleable submission was granted"
+        );
+        assert!(
+            accepted(&mixed) > accepted(&off),
+            "water-filling bought nothing: {} mixed vs {} rigid accepts",
+            accepted(&mixed),
+            accepted(&off)
+        );
     }
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Local mirror of .github/workflows/ci.yml: run the full verification
-# gate. Any failure stops the script.
+# The full verification gate, and the only step of the CI `check` job
+# (.github/workflows/ci.yml). Any failure stops the script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -15,9 +15,6 @@ cargo build --workspace --release
 
 echo "== test ==" >&2
 cargo test --workspace -q
-
-echo "== bench smoke ==" >&2
-scripts/bench.sh --smoke --out=target/BENCH_admission.smoke.json
 
 echo "== recovery smoke ==" >&2
 scripts/recovery_smoke.sh

@@ -5,13 +5,9 @@
 pub mod adaptive;
 pub mod bookahead;
 pub mod greedy;
-pub mod malleable;
 pub mod window;
 
 pub use adaptive::AdaptiveGreedy;
 pub use bookahead::BookAhead;
 pub use greedy::Greedy;
-pub use malleable::{
-    schedule_malleable, verify_malleable, MalleableAssignment, MalleableReport, Segment,
-};
 pub use window::WindowScheduler;

@@ -4,18 +4,18 @@
 
 use crate::sweep::{default_threads, parallel_map};
 use crate::table::{pm, ResultTable};
-use gridband_algos::flexible::{schedule_malleable, verify_malleable};
 use gridband_algos::{
     select_replicas, BandwidthPolicy, BookAhead, Greedy, ReplicaStrategy, ReplicatedRequest,
     RetryPolicy, Retrying, WindowScheduler,
 };
 use gridband_control::ControlPlane;
 use gridband_exact::{fcfs_uniform_longlived, optimal_uniform_longlived};
+use gridband_flex::{admit_in_order, FlexSpec, MalleableAssignment};
 use gridband_maxmin::{hybrid_best_effort, BestEffortFlow};
-use gridband_net::{IngressId, Route, Topology};
+use gridband_net::{CapacityLedger, IngressId, Route, Topology};
 use gridband_sim::{HotspotReport, Simulation};
 use gridband_workload::stats::Summary;
-use gridband_workload::{Dist, Request, TimeWindow, WorkloadBuilder};
+use gridband_workload::{Dist, Request, TimeWindow, Trace, WorkloadBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -712,11 +712,10 @@ pub fn malleable(seeds: &[u64], interarrivals: &[f64], horizon: f64) -> Vec<Mall
         let ba = sim
             .run(&trace, &mut BookAhead::new(BandwidthPolicy::MAX_RATE))
             .accept_rate;
-        let mall = schedule_malleable(&trace, &topo, None);
-        verify_malleable(&trace, &topo, &mall).expect("malleable schedule feasible");
-        let mall_floor =
-            schedule_malleable(&trace, &topo, Some(BandwidthPolicy::FractionOfMax(0.5)));
-        vec![greedy, ba, mall.accept_rate(), mall_floor.accept_rate()]
+        let mall = malleable_admit(&trace, &topo, None);
+        let mall_floor = malleable_admit(&trace, &topo, Some(BandwidthPolicy::FractionOfMax(0.5)));
+        let rate = |a: &[MalleableAssignment]| a.len() as f64 / trace.len().max(1) as f64;
+        vec![greedy, ba, rate(&mall), rate(&mall_floor)]
     });
     let labels = ["greedy", "bookahead", "malleable", "malleable(floor 0.5)"];
     let mut rows = Vec::new();
@@ -733,6 +732,32 @@ pub fn malleable(seeds: &[u64], interarrivals: &[f64], horizon: f64) -> Vec<Mall
         }
     }
     rows
+}
+
+/// Water-fill `trace` in arrival order on a fresh ledger and return the
+/// accepted plans. With a `floor` policy, each request's segments may not
+/// run below the rate it assigns at the window start, and a request it
+/// assigns no rate is rejected; without one, packing is pure malleable.
+fn malleable_admit(
+    trace: &Trace,
+    topo: &Topology,
+    floor: Option<BandwidthPolicy>,
+) -> Vec<MalleableAssignment> {
+    let specs = trace.iter().filter_map(|req| {
+        let min_rate = match floor {
+            Some(p) => p.assign(req, req.start())?,
+            None => 0.0,
+        };
+        let spec = FlexSpec::new(
+            req.route,
+            req.start(),
+            req.finish(),
+            req.volume,
+            req.max_rate,
+        );
+        Some((req.id.0, FlexSpec { min_rate, ..spec }))
+    });
+    admit_in_order(&mut CapacityLedger::new(topo.clone()), specs).0
 }
 
 /// Render malleable rows.
@@ -773,6 +798,59 @@ mod malleable_tests {
         assert!(get("malleable") >= get("greedy"));
         assert!(get("bookahead") >= get("greedy"));
         assert!(malleable_table(&rows).to_ascii().contains("MALLEABLE"));
+    }
+
+    #[test]
+    fn accepts_what_constant_rate_schedulers_cannot() {
+        let topo = Topology::uniform(1, 1, 100.0);
+        // The free capacity is split: 40 MB/s available on [0, 10), full
+        // on [10, 14), nothing after (blockers). A 800 MB request with
+        // MaxRate 100 and window [0, 14] needs 40×10 + 100×4 = 800 — only
+        // a variable-rate schedule fits.
+        let trace = Trace::new(vec![
+            Request::new(0, Route::new(0, 0), TimeWindow::new(0.0, 10.0), 600.0, 60.0),
+            Request::new(
+                1,
+                Route::new(0, 0),
+                TimeWindow::new(0.0, 14.0),
+                800.0,
+                100.0,
+            ),
+        ]);
+        assert_eq!(
+            malleable_admit(&trace, &topo, None).len(),
+            2,
+            "malleable fits both"
+        );
+        // Constant-rate book-ahead cannot: any constant rate ≥ 800/14 =
+        // 57.1 clashes with the blocker, and starting after it leaves
+        // only 4 s → needs 200 MB/s > MaxRate.
+        let sim = Simulation::new(topo);
+        let ba = sim.run(&trace, &mut BookAhead::new(BandwidthPolicy::MAX_RATE));
+        assert_eq!(ba.accepted_count(), 1);
+    }
+
+    #[test]
+    fn dominates_greedy_on_random_workloads() {
+        let topo = Topology::paper_default();
+        assert!(malleable_admit(&Trace::new(vec![]), &topo, None).is_empty());
+        let mut m_total = 0usize;
+        let mut g_total = 0usize;
+        for seed in [1u64, 2, 3] {
+            let trace = WorkloadBuilder::new(topo.clone())
+                .mean_interarrival(1.0)
+                .slack(Dist::Uniform { lo: 2.0, hi: 4.0 })
+                .horizon(400.0)
+                .seed(seed)
+                .build();
+            m_total += malleable_admit(&trace, &topo, None).len();
+            let sim = Simulation::new(topo.clone());
+            g_total += sim.run(&trace, &mut Greedy::fraction(1.0)).accepted_count();
+        }
+        assert!(
+            m_total > g_total,
+            "malleable {m_total} ≤ greedy {g_total} across seeds"
+        );
     }
 }
 

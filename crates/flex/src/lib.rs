@@ -1,12 +1,12 @@
 //! # gridband-flex — online malleable admission
 //!
 //! The paper fixes `bw(r)` constant for a transfer's lifetime (§2) and
-//! defers variable-rate allocation to future work (§7). This crate brings
-//! the offline malleable machinery of `gridband-algos` *online*: a
-//! WINDOW-style round solver that water-fills each malleable request
-//! against the **live ledger's** residual capacity, emitting stepwise
-//! plans the ledger books atomically with
-//! [`CapacityLedger::reserve_segments`].
+//! defers variable-rate allocation to future work (§7). This crate is the
+//! one malleable packer: [`water_fill`] fills each request against a
+//! ledger's residual capacity, emitting stepwise plans the ledger books
+//! atomically with [`CapacityLedger::reserve_segments`]. The daemon runs
+//! it online per round; [`admit_in_order`] runs it offline over a whole
+//! request sequence for the MALLEABLE study.
 //!
 //! The packing rule is **earliest-first water-filling**: at every instant
 //! of the window the request may use `min(MaxRate, free_in(t),
@@ -270,6 +270,32 @@ pub fn verify_plan(
         return Err(format!("delivered {delivered} ≠ volume {}", spec.volume));
     }
     Ok(())
+}
+
+/// Offline in-order malleable admission: each `(id, spec)` is water-filled
+/// against `ledger`, checked with [`verify_plan`] and booked before the
+/// next is considered. Returns the accepted plans and the rejected ids,
+/// both in input order.
+pub fn admit_in_order(
+    ledger: &mut CapacityLedger,
+    specs: impl IntoIterator<Item = (u64, FlexSpec)>,
+) -> (Vec<MalleableAssignment>, Vec<u64>) {
+    let mut accepted = Vec::new();
+    let mut rejected = Vec::new();
+    for (id, spec) in specs {
+        let Some(segments) = water_fill(ledger, &spec) else {
+            rejected.push(id);
+            continue;
+        };
+        if let Err(e) = verify_plan(ledger, &spec, &segments) {
+            panic!("request {id}: water-filled plan fails verification: {e}");
+        }
+        ledger
+            .reserve_segments(spec.route, &segments)
+            .expect("a verified plan books on the ledger it was checked against");
+        accepted.push(MalleableAssignment { id, segments });
+    }
+    (accepted, rejected)
 }
 
 /// Earliest time at or after `not_before` at which the request could

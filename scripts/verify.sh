@@ -13,6 +13,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== build (release) ==" >&2
 cargo build --workspace --release
 
+# The archived MALLEABLE table pins the offline water-filling decisions
+# end to end; the binary is deterministic, so any byte of drift fails.
+echo "== malleable archive ==" >&2
+target/release/malleable | diff -u results/malleable.txt -
+
 echo "== test ==" >&2
 cargo test --workspace -q
 

@@ -16,6 +16,7 @@
 //! | [`exact`] | `gridband-exact` | branch-and-bound optimum, the 3-DM NP-completeness reduction, the polynomial single-pair case |
 //! | [`maxmin`] | `gridband-maxmin` | the TCP-idealised max-min statistical-sharing baseline |
 //! | [`control`] | `gridband-control` | the §5.4 control plane: RSVP-like signaling and token-bucket policing |
+//! | [`flex`] | `gridband-flex` | malleable (variable-rate) water-filling, plan verification, in-order admission |
 //!
 //! ## Quickstart
 //!
@@ -40,6 +41,7 @@
 pub use gridband_algos as algos;
 pub use gridband_control as control;
 pub use gridband_exact as exact;
+pub use gridband_flex as flex;
 pub use gridband_maxmin as maxmin;
 pub use gridband_net as net;
 pub use gridband_sim as sim;

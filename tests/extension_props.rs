@@ -1,8 +1,8 @@
 //! Property-based tests over the extension subsystems: malleable
 //! packing, retries, the distributed control plane and edge policing.
 
-use gridband::algos::flexible::{schedule_malleable, verify_malleable};
 use gridband::control::{police_constant_sources, ControlPlane};
+use gridband::flex::{admit_in_order, verify_plan, FlexSpec, MalleableAssignment};
 use gridband::prelude::*;
 use proptest::prelude::*;
 
@@ -39,6 +39,53 @@ fn topo() -> Topology {
     Topology::uniform(3, 3, 100.0)
 }
 
+/// The malleable spec of `req`, floored at the rate `floor` assigns at
+/// the window start (`None` when the policy assigns no rate at all).
+fn flex_spec(req: &Request, floor: Option<BandwidthPolicy>) -> Option<FlexSpec> {
+    let min_rate = match floor {
+        Some(p) => p.assign(req, req.start())?,
+        None => 0.0,
+    };
+    let spec = FlexSpec::new(
+        req.route,
+        req.start(),
+        req.finish(),
+        req.volume,
+        req.max_rate,
+    );
+    Some(FlexSpec { min_rate, ..spec })
+}
+
+/// In-order malleable admission of `trace` on a fresh ledger: accepted
+/// plans and rejected ids (requests without a spec are left out of both).
+fn admit(trace: &Trace, floor: Option<BandwidthPolicy>) -> (Vec<MalleableAssignment>, Vec<u64>) {
+    let specs = trace
+        .iter()
+        .filter_map(|r| Some((r.id.0, flex_spec(r, floor)?)));
+    admit_in_order(&mut CapacityLedger::new(topo()), specs)
+}
+
+/// Re-check `accepted` on a fresh ledger, plan by plan in order.
+fn replay_verifies(
+    trace: &Trace,
+    accepted: &[MalleableAssignment],
+    floor: Option<BandwidthPolicy>,
+) -> Result<(), String> {
+    let mut ledger = CapacityLedger::new(topo());
+    for a in accepted {
+        let req = trace
+            .iter()
+            .find(|r| r.id.0 == a.id)
+            .ok_or("not in trace")?;
+        let spec = flex_spec(req, floor).ok_or("accepted without a spec")?;
+        verify_plan(&ledger, &spec, &a.segments)?;
+        ledger
+            .reserve_segments(spec.route, &a.segments)
+            .map_err(|e| e.to_string())?;
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -49,12 +96,12 @@ proptest! {
         reqs in arb_requests()
     ) {
         let trace = Trace::new(reqs);
-        let rep = schedule_malleable(&trace, &topo(), None);
-        prop_assert!(verify_malleable(&trace, &topo(), &rep).is_ok());
-        prop_assert_eq!(rep.accepted.len() + rep.rejected.len(), trace.len());
+        let (accepted, rejected) = admit(&trace, None);
+        prop_assert!(replay_verifies(&trace, &accepted, None).is_ok());
+        prop_assert_eq!(accepted.len() + rejected.len(), trace.len());
         // Segments are time-ordered and inside the window.
-        for a in &rep.accepted {
-            let req = trace.iter().find(|r| r.id == a.id).expect("in trace");
+        for a in &accepted {
+            let req = trace.iter().find(|r| r.id.0 == a.id).expect("in trace");
             for w in a.segments.windows(2) {
                 prop_assert!(w[0].end <= w[1].start + 1e-9);
             }
@@ -66,14 +113,14 @@ proptest! {
     #[test]
     fn malleable_floor_is_monotone(reqs in arb_requests(), f in 0.1f64..=1.0) {
         let trace = Trace::new(reqs);
-        let free = schedule_malleable(&trace, &topo(), None);
-        let floored =
-            schedule_malleable(&trace, &topo(), Some(BandwidthPolicy::FractionOfMax(f)));
-        prop_assert!(verify_malleable(&trace, &topo(), &floored).is_ok());
+        let (free, _) = admit(&trace, None);
+        let floor = Some(BandwidthPolicy::FractionOfMax(f));
+        let (floored, _) = admit(&trace, floor);
+        prop_assert!(replay_verifies(&trace, &floored, floor).is_ok());
         // Not a subset guarantee (packing order effects), but the count
         // can never grow: every floored packing is also a free packing.
-        prop_assert!(floored.accepted.len() <= free.accepted.len() + trace.len() / 4,
-            "floored {} far above free {}", floored.accepted.len(), free.accepted.len());
+        prop_assert!(floored.len() <= free.len() + trace.len() / 4,
+            "floored {} far above free {}", floored.len(), free.len());
     }
 
     /// The retry wrapper never produces an infeasible or double-booked

@@ -130,7 +130,7 @@ pub struct QosStats {
     /// Rounds in which at least one boost was granted.
     pub boost_rounds: u64,
     /// Volume actually moved above guarantees (MB).
-    pub boosted_bytes: f64,
+    pub boosted_mb: f64,
     /// Transfers that completed before their guaranteed finish.
     pub early_releases: u64,
     /// Transfers observed completing *after* their guaranteed finish —
@@ -244,7 +244,7 @@ impl Redistributor {
                 continue;
             }
             let mut at = a.max(tr.start);
-            let mut boosted_bytes = 0.0;
+            let mut boosted_mb = 0.0;
             // Two segments: [at, cut) with boost, [cut, b) without.
             for (seg_end, boost) in [(b.min(cut), tr.boost), (b, 0.0)] {
                 if at >= seg_end || tr.remaining <= EPS_VOL {
@@ -259,16 +259,16 @@ impl Redistributor {
                 let sent = rate * span;
                 if sent + EPS_VOL >= tr.remaining {
                     let used = tr.remaining / rate;
-                    boosted_bytes += boost * used;
+                    boosted_mb += boost * used;
                     tr.done_at = Some(at + used);
                     tr.remaining = 0.0;
                 } else {
-                    boosted_bytes += boost * span;
+                    boosted_mb += boost * span;
                     tr.remaining -= sent;
                 }
                 at = seg_end;
             }
-            self.stats.boosted_bytes += boosted_bytes;
+            self.stats.boosted_mb += boosted_mb;
             if let Some(done) = tr.done_at {
                 if done + EPS_TIME < tr.finish {
                     self.stats.early_releases += 1;
@@ -599,7 +599,7 @@ mod tests {
         assert_eq!(st.finish_violations, 0);
         assert_eq!(st.oversubscriptions, 0);
         assert_eq!(st.boost_rounds, 1);
-        assert!((st.boosted_bytes - 900.0).abs() < 1e-6, "{st:?}");
+        assert!((st.boosted_mb - 900.0).abs() < 1e-6, "{st:?}");
         let c = rd.completions();
         assert_eq!(c.len(), 1);
         assert!((c[0].done_at - 10.0).abs() < 1e-6);

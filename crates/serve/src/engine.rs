@@ -1340,15 +1340,8 @@ impl EngineLoop {
                     self.st.record_state(p.id, ReqState::Cancelled);
                     return;
                 }
-                MetricsRegistry::inc(&self.metrics.accepted);
+                self.metrics.record_accept(p.class);
                 MetricsRegistry::inc(&self.metrics.accepted_malleable);
-                MetricsRegistry::inc(match p.class {
-                    gridband_workload::ServiceClass::Gold => &self.metrics.accepted_gold,
-                    gridband_workload::ServiceClass::Silver => &self.metrics.accepted_silver,
-                    gridband_workload::ServiceClass::BestEffort => {
-                        &self.metrics.accepted_besteffort
-                    }
-                });
                 // Register the stepwise guarantee with the overlay at its
                 // peak rate: boosts stay bounded by `max_rate`, and the
                 // per-segment guarantees the plan carries are what the
@@ -1441,7 +1434,7 @@ impl EngineLoop {
         let m = &self.metrics;
         m.qos_boost_rounds.store(qs.boost_rounds, Ordering::Relaxed);
         m.qos_boosted_mb
-            .store(qs.boosted_bytes as u64, Ordering::Relaxed);
+            .store(qs.boosted_mb as u64, Ordering::Relaxed);
         m.qos_early_releases
             .store(qs.early_releases, Ordering::Relaxed);
         m.qos_finish_violations
@@ -1466,11 +1459,7 @@ impl EngineLoop {
         // policy: `append_batch` is itself a round barrier.
         let ok = match store.append_batch(&[&record.encode()]) {
             Ok(a) => {
-                MetricsRegistry::inc(&self.metrics.wal_appends);
-                MetricsRegistry::add(&self.metrics.wal_bytes, a.bytes);
-                if let Some(d) = a.fsync {
-                    self.metrics.fsync.record(d);
-                }
+                self.metrics.record_wal_append(a.bytes, a.fsync);
                 self.rounds_since_snapshot += 1;
                 if self.snapshot_every > 0 && self.rounds_since_snapshot >= self.snapshot_every {
                     match store.install_snapshot(&self.st.export().encode()) {
@@ -1506,11 +1495,7 @@ impl EngineLoop {
         };
         match store.append(&record.encode()) {
             Ok(a) => {
-                MetricsRegistry::inc(&self.metrics.wal_appends);
-                MetricsRegistry::add(&self.metrics.wal_bytes, a.bytes);
-                if let Some(d) = a.fsync {
-                    self.metrics.fsync.record(d);
-                }
+                self.metrics.record_wal_append(a.bytes, a.fsync);
                 true
             }
             Err(e) => {
@@ -1567,16 +1552,7 @@ impl EngineLoop {
                             self.st.record_state(id, ReqState::Cancelled);
                             return;
                         }
-                        MetricsRegistry::inc(&self.metrics.accepted);
-                        MetricsRegistry::inc(match entry.class {
-                            gridband_workload::ServiceClass::Gold => &self.metrics.accepted_gold,
-                            gridband_workload::ServiceClass::Silver => {
-                                &self.metrics.accepted_silver
-                            }
-                            gridband_workload::ServiceClass::BestEffort => {
-                                &self.metrics.accepted_besteffort
-                            }
-                        });
+                        self.metrics.record_accept(entry.class);
                         if let Some(q) = self.qos.as_mut() {
                             q.on_accept(AcceptedTransfer {
                                 id,

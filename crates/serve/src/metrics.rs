@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::protocol::PROTOCOL_VERSION;
+use crate::protocol::{ServiceClass, PROTOCOL_VERSION};
 
 /// Which replication role this daemon is playing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -175,7 +175,7 @@ impl LatencyHistogram {
 }
 
 /// Point-in-time view of one latency histogram.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct LatencySnapshot {
     /// Samples recorded.
     pub count: u64,
@@ -189,139 +189,229 @@ pub struct LatencySnapshot {
     pub p99_ms: f64,
 }
 
-/// All daemon counters and histograms. One instance is shared (via `Arc`)
-/// between the listener, every connection thread, and the engine.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
+/// Expands the counter table below into [`MetricsRegistry`],
+/// [`StatsSnapshot`] and the conversions between the two. `@sort` walks
+/// the table once to collect the registry's atomics and the values
+/// `snapshot` is passed; `@emit` then writes every item, reading the
+/// whole table in order.
+macro_rules! stats_block {
+    (@sort [$($reg:tt)*] [$($arg:ident)*] [$($table:tt)*]) => {
+        stats_block!(@emit [$($reg)*] [$($arg)*] $($table)*);
+    };
+    (@sort [$($reg:tt)*] [$($arg:ident)*] [$($table:tt)*]
+        $(#[$m:meta])* $name:ident: counter, $($rest:tt)*) => {
+        stats_block!(@sort [$($reg)* $(#[$m])* $name,] [$($arg)*] [$($table)*] $($rest)*);
+    };
+    (@sort [$($reg:tt)*] [$($arg:ident)*] [$($table:tt)*]
+        $(#[$m:meta])* $name:ident: passed, $($rest:tt)*) => {
+        stats_block!(@sort [$($reg)*] [$($arg)* $name] [$($table)*] $($rest)*);
+    };
+    (@sort [$($reg:tt)*] [$($arg:ident)*] [$($table:tt)*]
+        $(#[$m:meta])* $name:ident: reserved($v:expr), $($rest:tt)*) => {
+        stats_block!(@sort [$($reg)*] [$($arg)*] [$($table)*] $($rest)*);
+    };
+    (@slot $s:ident $name:ident counter) => { $s.$name.load(Ordering::Relaxed) };
+    (@slot $s:ident $name:ident passed) => { $name };
+    (@slot $s:ident $name:ident reserved($v:expr)) => { $v };
+    (@emit [$($(#[$rm:meta])* $reg:ident,)*] [$($arg:ident)*]
+        $($(#[$m:meta])* $name:ident: $kind:ident $(($v:expr))?,)*) => {
+        /// All daemon counters and histograms. One instance is shared (via
+        /// `Arc`) between the listener, every connection thread, and the
+        /// engine.
+        #[derive(Debug, Default)]
+        pub struct MetricsRegistry {
+            $($(#[$rm])* pub $reg: AtomicU64,)*
+            /// Current GC watermark (gauge; unset until the first sweep).
+            pub gc_watermark: TimeGauge,
+            /// Submit → decision latency.
+            pub decision_latency: LatencyHistogram,
+            /// WAL fsync latency (per append or per round, by policy).
+            pub fsync: LatencyHistogram,
+            /// Replication role (see [`Role`]; gauge, stored as its `as_u64`).
+            pub role: AtomicU64,
+            /// Process start, for `uptime_s`.
+            started: StartClock,
+        }
+
+        impl MetricsRegistry {
+            /// The counter block as of now, in wire order.
+            fn block(&self, $($arg: u64),*) -> [u64; StatsSnapshot::N] {
+                [$(stats_block!(@slot self $name $kind $(($v))?)),*]
+            }
+        }
+
+        /// Serializable metrics snapshot returned by the `Stats` RPC and
+        /// written by the periodic JSON dump.
+        #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+        pub struct StatsSnapshot {
+            /// Replication role: `solo`, `primary`, `follower`, or `shard`.
+            pub role: String,
+            /// Seconds this daemon has been up.
+            pub uptime_s: u64,
+            /// Wire protocol version the daemon speaks.
+            pub protocol_version: u32,
+            $($(#[$m])* pub $name: u64,)*
+            /// Engine virtual clock (seconds).
+            pub virtual_time: f64,
+            /// Current GC watermark (absent until the first sweep, or when
+            /// `--gc-horizon` is off).
+            pub gc_watermark: Option<f64>,
+            /// Submit → decision latency distribution.
+            pub decision_latency: LatencySnapshot,
+            /// WAL fsync latency distribution.
+            pub fsync: LatencySnapshot,
+        }
+
+        impl StatsSnapshot {
+            /// Slots in the counter block.
+            pub const N: usize = [$(stringify!($name)),*].len();
+
+            /// The counter block, in wire order.
+            pub(crate) fn counters(&self) -> [u64; Self::N] {
+                [$(self.$name),*]
+            }
+
+            /// A snapshot holding the counter block `c` and an empty header
+            /// and trailer, for callers to fill in with `..` struct update.
+            pub fn from_counters(c: [u64; Self::N]) -> StatsSnapshot {
+                let [$($name),*] = c;
+                StatsSnapshot {
+                    $($name,)*
+                    ..StatsSnapshot::default()
+                }
+            }
+        }
+    };
+    ($($table:tt)*) => {
+        stats_block!(@sort [] [] [$($table)*] $($table)*);
+    };
+}
+
+// The `Stats` counter block: one line per `u64` slot, in v3 wire order,
+// which is also the JSON field order. Appending a line therefore grows
+// the positional binary frame and needs a `WIRE_VERSION`/
+// `PROTOCOL_VERSION` bump until ROADMAP 7(a) makes `Stats`
+// self-describing. A line is one of:
+//
+// * `name: counter` — an `AtomicU64` in the registry (a counter, or a
+//   gauge where its doc says so), loaded by `snapshot`;
+// * `name: reserved(v)` — a constant kept only for the frame layout;
+// * `name: passed` — a value the caller of `snapshot` passes in.
+stats_block! {
     /// Submissions received (before validation).
-    pub submitted: AtomicU64,
+    submitted: counter,
     /// Submissions admitted by an admission round.
-    pub accepted: AtomicU64,
+    accepted: counter,
     /// Submissions refused by an admission round.
-    pub rejected: AtomicU64,
+    rejected: counter,
     /// Submissions refused before queueing (validation, queue-full, drain).
-    pub refused_early: AtomicU64,
-    /// Cancels that took effect: freed a live reservation or voided a
-    /// still-pending submission (repeats are not counted).
-    pub cancelled: AtomicU64,
+    refused_early: counter,
+    /// Cancels that freed a live reservation or voided a pending submission.
+    cancelled: counter,
     /// Query requests served.
-    pub queries: AtomicU64,
+    queries: counter,
     /// Submissions bounced because the engine queue was full.
-    pub queue_full: AtomicU64,
+    queue_full: counter,
     /// Lines that failed to parse or carried a bad version.
-    pub protocol_errors: AtomicU64,
+    protocol_errors: counter,
     /// Connections accepted over the daemon lifetime.
-    pub connections: AtomicU64,
-    /// Connections that spoke the JSON-lines codec (counted at the
-    /// moment the first bytes settled the auto-detection).
-    pub conns_json: AtomicU64,
-    /// Connections that spoke the binary codec (sent the `GBWIR01\n`
-    /// preamble).
-    pub conns_binary: AtomicU64,
+    connections: counter,
+    /// Connections that spoke the JSON-lines codec.
+    conns_json: counter,
+    /// Connections that spoke the binary codec (sent the `GBWIR01\n` preamble).
+    conns_binary: counter,
     /// Admission rounds (ticks) executed.
-    pub ticks: AtomicU64,
+    ticks: counter,
     /// Expired reservations garbage-collected from the ledger.
-    pub gc_reclaimed: AtomicU64,
-    /// Profile breakpoints dropped by watermark GC over the daemon
-    /// lifetime (live sweeps plus recovery replay).
-    pub gc_truncated_bps: AtomicU64,
-    /// Breakpoints currently held across all port profiles (gauge,
-    /// refreshed each admission round). The soak gate watches this stay
-    /// flat under watermark GC.
-    pub breakpoints_live: AtomicU64,
-    /// Current GC watermark (gauge; unset until the first sweep).
-    pub gc_watermark: TimeGauge,
-    /// Engine replies dropped because a connection's reply queue was
-    /// full (a client submitting without reading its socket).
-    pub replies_dropped: AtomicU64,
+    gc_reclaimed: counter,
+    /// Engine replies dropped because a connection's reply queue was full.
+    replies_dropped: counter,
     /// Records appended to the write-ahead log.
-    pub wal_appends: AtomicU64,
+    wal_appends: counter,
     /// Framed bytes appended to the write-ahead log.
-    pub wal_bytes: AtomicU64,
+    wal_bytes: counter,
     /// Snapshots installed (each truncates the log).
-    pub snapshots_written: AtomicU64,
+    snapshots_written: counter,
     /// WAL records replayed during recovery at startup.
-    pub recovery_replayed_records: AtomicU64,
-    /// Submit → decision latency.
-    pub decision_latency: LatencyHistogram,
-    /// WAL fsync latency (per append or per round, by policy).
-    pub fsync: LatencyHistogram,
-    /// Replication role (see [`Role`]; gauge, stored as its `as_u64`).
-    pub role: AtomicU64,
-    /// Primary side: WAL records shipped to the follower.
-    pub repl_records_shipped: AtomicU64,
-    /// Primary side: framed record bytes shipped.
-    pub repl_bytes_shipped: AtomicU64,
-    /// Primary side: snapshots shipped (initial sync and re-syncs).
-    pub repl_snapshots_shipped: AtomicU64,
-    /// Primary side: sequence number of the last frame sent (gauge).
-    pub repl_shipped_seq: AtomicU64,
-    /// Primary side: sequence number of the last follower ack (gauge).
-    pub repl_acked_seq: AtomicU64,
-    /// Primary side: 1 while the follower's last ack matched our ship
-    /// cursor exactly — everything durable has been applied remotely —
-    /// 0 whenever new content goes out (gauge).
-    pub repl_synced: AtomicU64,
-    /// Follower side: records applied to the local mirror.
-    pub repl_records_applied: AtomicU64,
-    /// Follower side: framed record bytes applied.
-    pub repl_bytes_applied: AtomicU64,
-    /// Follower side: snapshots installed from the stream.
-    pub repl_snapshots_applied: AtomicU64,
-    /// Follower side: resync requests sent after a gap or loss.
-    pub repl_resyncs: AtomicU64,
-    /// Follower side: duplicate/stale frames discarded.
-    pub repl_frames_discarded: AtomicU64,
-    /// Follower side: frames dropped for CRC or decode damage.
-    pub repl_frames_damaged: AtomicU64,
-    /// Follower side: state-hash beacons verified against local replay.
-    pub repl_beacons_checked: AtomicU64,
-    /// Follower side: beacon mismatches — replica state diverged from
-    /// the primary. Must stay 0; anything else is a replication bug.
-    pub repl_divergence: AtomicU64,
+    recovery_replayed_records: counter,
+    /// Always 1. Reserved; removed by ROADMAP 7(a)'s self-describing Stats.
+    admit_threads: reserved(1),
+    /// Always 0. Reserved; removed by ROADMAP 7(a)'s self-describing Stats.
+    shards: reserved(0),
+    /// Always 0. Reserved; removed by ROADMAP 7(a)'s self-describing Stats.
+    largest_shard: reserved(0),
+    /// Primary: WAL records shipped to the follower.
+    repl_records_shipped: counter,
+    /// Primary: framed record bytes shipped.
+    repl_bytes_shipped: counter,
+    /// Primary: snapshots shipped (initial sync and re-syncs).
+    repl_snapshots_shipped: counter,
+    /// Primary: sequence number of the last frame sent (gauge).
+    repl_shipped_seq: counter,
+    /// Primary: sequence number of the last follower ack (gauge).
+    repl_acked_seq: counter,
+    /// Primary: 1 while the follower has applied everything shipped (gauge).
+    repl_synced: counter,
+    /// Follower: records applied to the local mirror.
+    repl_records_applied: counter,
+    /// Follower: framed record bytes applied.
+    repl_bytes_applied: counter,
+    /// Follower: snapshots installed from the stream.
+    repl_snapshots_applied: counter,
+    /// Follower: resync requests sent after a gap or loss.
+    repl_resyncs: counter,
+    /// Follower: duplicate/stale frames discarded.
+    repl_frames_discarded: counter,
+    /// Follower: frames dropped for CRC or decode damage.
+    repl_frames_damaged: counter,
+    /// Follower: state-hash beacons verified against local replay.
+    repl_beacons_checked: counter,
+    /// Follower: beacon mismatches, i.e. replica divergence (must stay 0).
+    repl_divergence: counter,
     /// Two-phase holds placed on this shard (prepare steps).
-    pub holds_placed: AtomicU64,
+    holds_placed: counter,
     /// Two-phase holds committed.
-    pub holds_committed: AtomicU64,
+    holds_committed: counter,
     /// Two-phase holds released by an explicit abort.
-    pub holds_released: AtomicU64,
-    /// Two-phase holds released by the expiry sweep — a lost `HoldAck`
-    /// or commit surfaced as a timeout rather than a rejection.
-    pub holds_expired: AtomicU64,
+    holds_released: counter,
+    /// Two-phase holds released by the expiry sweep (a lost ack or commit).
+    holds_expired: counter,
     /// Accepted submissions whose class was `Gold`.
-    pub accepted_gold: AtomicU64,
+    accepted_gold: counter,
     /// Accepted submissions whose class was `Silver` (the default).
-    pub accepted_silver: AtomicU64,
+    accepted_silver: counter,
     /// Accepted submissions whose class was `BestEffort`.
-    pub accepted_besteffort: AtomicU64,
+    accepted_besteffort: counter,
     /// QoS overlay: rounds that granted at least one boost.
-    pub qos_boost_rounds: AtomicU64,
-    /// QoS overlay: megabytes moved above guaranteed rates (gauge,
-    /// rounded down from the redistributor's running total).
-    pub qos_boosted_mb: AtomicU64,
-    /// QoS overlay: transfers that finished before their guaranteed
-    /// finish thanks to boosting.
-    pub qos_early_releases: AtomicU64,
-    /// QoS overlay: guaranteed-finish violations detected by the
-    /// conservation verifier. Must stay 0; anything else is a bug.
-    pub qos_finish_violations: AtomicU64,
-    /// QoS overlay: port oversubscriptions detected by the conservation
-    /// verifier. Must stay 0; anything else is a bug.
-    pub qos_oversubscriptions: AtomicU64,
+    qos_boost_rounds: counter,
+    /// QoS overlay: megabytes moved above guaranteed rates, rounded down (gauge).
+    qos_boosted_mb: counter,
+    /// QoS overlay: transfers finished before their guaranteed finish.
+    qos_early_releases: counter,
+    /// QoS overlay: guaranteed-finish violations found by the verifier (must stay 0).
+    qos_finish_violations: counter,
+    /// QoS overlay: port oversubscriptions found by the verifier (must stay 0).
+    qos_oversubscriptions: counter,
     /// Submissions that asked for a malleable (variable-rate) reservation.
-    pub submitted_malleable: AtomicU64,
+    submitted_malleable: counter,
     /// Malleable submissions granted a segmented plan.
-    pub accepted_malleable: AtomicU64,
+    accepted_malleable: counter,
     /// Malleable submissions refused by an admission round.
-    pub rejected_malleable: AtomicU64,
+    rejected_malleable: counter,
     /// `Amend` requests received (mid-flight renegotiations).
-    pub amend_requests: AtomicU64,
+    amend_requests: counter,
     /// Amends granted (plan atomically replaced).
-    pub amends_granted: AtomicU64,
+    amends_granted: counter,
     /// Amends rejected (original plan left untouched).
-    pub amends_rejected: AtomicU64,
-    /// Process start, for `uptime_s`.
-    started: StartClock,
+    amends_rejected: counter,
+    /// Submissions awaiting the next round.
+    pending: passed,
+    /// Live (unexpired, uncancelled) reservations.
+    live_reservations: passed,
+    /// Profile breakpoints dropped by watermark GC (live sweeps and replay).
+    gc_truncated_bps: counter,
+    /// Breakpoints held across all port profiles, refreshed each round (gauge).
+    breakpoints_live: counter,
 }
 
 impl MetricsRegistry {
@@ -337,6 +427,26 @@ impl MetricsRegistry {
     /// Convenience: bump a counter by `n`.
     pub fn add(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Count one accepted submission: `accepted` and its class's counter.
+    pub fn record_accept(&self, class: ServiceClass) {
+        Self::inc(&self.accepted);
+        Self::inc(match class {
+            ServiceClass::Gold => &self.accepted_gold,
+            ServiceClass::Silver => &self.accepted_silver,
+            ServiceClass::BestEffort => &self.accepted_besteffort,
+        });
+    }
+
+    /// Count one write-ahead-log append of `bytes` framed bytes, and its
+    /// fsync latency when the policy flushed.
+    pub fn record_wal_append(&self, bytes: u64, fsync: Option<Duration>) {
+        Self::inc(&self.wal_appends);
+        Self::add(&self.wal_bytes, bytes);
+        if let Some(d) = fsync {
+            self.fsync.record(d);
+        }
     }
 
     /// Set the replication role reported by `Stats`.
@@ -362,209 +472,17 @@ impl MetricsRegistry {
         live_reservations: u64,
         virtual_time: f64,
     ) -> StatsSnapshot {
-        let ld = |c: &AtomicU64| c.load(Ordering::Relaxed);
         StatsSnapshot {
             role: self.get_role().as_str().to_string(),
             uptime_s: self.uptime_s(),
             protocol_version: PROTOCOL_VERSION,
-            submitted: ld(&self.submitted),
-            accepted: ld(&self.accepted),
-            rejected: ld(&self.rejected),
-            refused_early: ld(&self.refused_early),
-            cancelled: ld(&self.cancelled),
-            queries: ld(&self.queries),
-            queue_full: ld(&self.queue_full),
-            protocol_errors: ld(&self.protocol_errors),
-            connections: ld(&self.connections),
-            conns_json: ld(&self.conns_json),
-            conns_binary: ld(&self.conns_binary),
-            ticks: ld(&self.ticks),
-            gc_reclaimed: ld(&self.gc_reclaimed),
-            replies_dropped: ld(&self.replies_dropped),
-            wal_appends: ld(&self.wal_appends),
-            wal_bytes: ld(&self.wal_bytes),
-            snapshots_written: ld(&self.snapshots_written),
-            recovery_replayed_records: ld(&self.recovery_replayed_records),
-            admit_threads: 1,
-            shards: 0,
-            largest_shard: 0,
-            repl_records_shipped: ld(&self.repl_records_shipped),
-            repl_bytes_shipped: ld(&self.repl_bytes_shipped),
-            repl_snapshots_shipped: ld(&self.repl_snapshots_shipped),
-            repl_shipped_seq: ld(&self.repl_shipped_seq),
-            repl_acked_seq: ld(&self.repl_acked_seq),
-            repl_synced: ld(&self.repl_synced),
-            repl_records_applied: ld(&self.repl_records_applied),
-            repl_bytes_applied: ld(&self.repl_bytes_applied),
-            repl_snapshots_applied: ld(&self.repl_snapshots_applied),
-            repl_resyncs: ld(&self.repl_resyncs),
-            repl_frames_discarded: ld(&self.repl_frames_discarded),
-            repl_frames_damaged: ld(&self.repl_frames_damaged),
-            repl_beacons_checked: ld(&self.repl_beacons_checked),
-            repl_divergence: ld(&self.repl_divergence),
-            holds_placed: ld(&self.holds_placed),
-            holds_committed: ld(&self.holds_committed),
-            holds_released: ld(&self.holds_released),
-            holds_expired: ld(&self.holds_expired),
-            accepted_gold: ld(&self.accepted_gold),
-            accepted_silver: ld(&self.accepted_silver),
-            accepted_besteffort: ld(&self.accepted_besteffort),
-            qos_boost_rounds: ld(&self.qos_boost_rounds),
-            qos_boosted_mb: ld(&self.qos_boosted_mb),
-            qos_early_releases: ld(&self.qos_early_releases),
-            qos_finish_violations: ld(&self.qos_finish_violations),
-            qos_oversubscriptions: ld(&self.qos_oversubscriptions),
-            submitted_malleable: ld(&self.submitted_malleable),
-            accepted_malleable: ld(&self.accepted_malleable),
-            rejected_malleable: ld(&self.rejected_malleable),
-            amend_requests: ld(&self.amend_requests),
-            amends_granted: ld(&self.amends_granted),
-            amends_rejected: ld(&self.amends_rejected),
-            pending,
-            live_reservations,
-            gc_truncated_bps: ld(&self.gc_truncated_bps),
-            breakpoints_live: ld(&self.breakpoints_live),
             virtual_time,
             gc_watermark: self.gc_watermark.get(),
             decision_latency: self.decision_latency.snapshot(),
             fsync: self.fsync.snapshot(),
+            ..StatsSnapshot::from_counters(self.block(pending, live_reservations))
         }
     }
-}
-
-/// Serializable metrics snapshot returned by the `Stats` RPC and written
-/// by the periodic JSON dump.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StatsSnapshot {
-    /// Replication role: `solo`, `primary`, `follower`, or `shard`.
-    pub role: String,
-    /// Seconds this daemon has been up.
-    pub uptime_s: u64,
-    /// Wire protocol version the daemon speaks.
-    pub protocol_version: u32,
-    /// Submissions received.
-    pub submitted: u64,
-    /// Submissions admitted.
-    pub accepted: u64,
-    /// Submissions refused by an admission round.
-    pub rejected: u64,
-    /// Submissions refused before queueing.
-    pub refused_early: u64,
-    /// Cancels that took effect (reservation freed or pending voided).
-    pub cancelled: u64,
-    /// Queries served.
-    pub queries: u64,
-    /// Queue-full bounces.
-    pub queue_full: u64,
-    /// Parse/version failures.
-    pub protocol_errors: u64,
-    /// Connections accepted.
-    pub connections: u64,
-    /// Connections that spoke the JSON-lines codec.
-    pub conns_json: u64,
-    /// Connections that spoke the binary codec.
-    pub conns_binary: u64,
-    /// Admission rounds executed.
-    pub ticks: u64,
-    /// Expired reservations garbage-collected.
-    pub gc_reclaimed: u64,
-    /// Replies dropped on full per-connection reply queues.
-    pub replies_dropped: u64,
-    /// Records appended to the write-ahead log.
-    pub wal_appends: u64,
-    /// Framed bytes appended to the write-ahead log.
-    pub wal_bytes: u64,
-    /// Snapshots installed.
-    pub snapshots_written: u64,
-    /// WAL records replayed during recovery at startup.
-    pub recovery_replayed_records: u64,
-    /// Always 1. Reserved; removed by ROADMAP 1(d)'s self-describing Stats.
-    pub admit_threads: u64,
-    /// Always 0. Reserved; removed by ROADMAP 1(d)'s self-describing Stats.
-    pub shards: u64,
-    /// Always 0. Reserved; removed by ROADMAP 1(d)'s self-describing Stats.
-    pub largest_shard: u64,
-    /// Primary: WAL records shipped to the follower.
-    pub repl_records_shipped: u64,
-    /// Primary: framed record bytes shipped.
-    pub repl_bytes_shipped: u64,
-    /// Primary: snapshots shipped.
-    pub repl_snapshots_shipped: u64,
-    /// Primary: sequence number of the last frame sent.
-    pub repl_shipped_seq: u64,
-    /// Primary: sequence number of the last follower ack.
-    pub repl_acked_seq: u64,
-    /// Primary: 1 when the follower has applied everything shipped.
-    pub repl_synced: u64,
-    /// Follower: records applied to the local mirror.
-    pub repl_records_applied: u64,
-    /// Follower: framed record bytes applied.
-    pub repl_bytes_applied: u64,
-    /// Follower: snapshots installed from the stream.
-    pub repl_snapshots_applied: u64,
-    /// Follower: resync requests sent.
-    pub repl_resyncs: u64,
-    /// Follower: duplicate/stale frames discarded.
-    pub repl_frames_discarded: u64,
-    /// Follower: frames dropped for CRC/decode damage.
-    pub repl_frames_damaged: u64,
-    /// Follower: state-hash beacons verified.
-    pub repl_beacons_checked: u64,
-    /// Follower: beacon mismatches (must be 0).
-    pub repl_divergence: u64,
-    /// Two-phase holds placed on this shard.
-    pub holds_placed: u64,
-    /// Two-phase holds committed.
-    pub holds_committed: u64,
-    /// Two-phase holds released by an explicit abort.
-    pub holds_released: u64,
-    /// Two-phase holds released by the expiry sweep (timeouts).
-    pub holds_expired: u64,
-    /// Accepted submissions whose class was `Gold`.
-    pub accepted_gold: u64,
-    /// Accepted submissions whose class was `Silver`.
-    pub accepted_silver: u64,
-    /// Accepted submissions whose class was `BestEffort`.
-    pub accepted_besteffort: u64,
-    /// QoS rounds that granted at least one boost.
-    pub qos_boost_rounds: u64,
-    /// Megabytes moved above guaranteed rates (rounded down).
-    pub qos_boosted_mb: u64,
-    /// Transfers finished early under boost (reservation resold).
-    pub qos_early_releases: u64,
-    /// Guaranteed-finish violations found by the verifier (must be 0).
-    pub qos_finish_violations: u64,
-    /// Port oversubscriptions found by the verifier (must be 0).
-    pub qos_oversubscriptions: u64,
-    /// Submissions that asked for a malleable reservation.
-    pub submitted_malleable: u64,
-    /// Malleable submissions granted a segmented plan.
-    pub accepted_malleable: u64,
-    /// Malleable submissions refused by an admission round.
-    pub rejected_malleable: u64,
-    /// `Amend` requests received.
-    pub amend_requests: u64,
-    /// Amends granted.
-    pub amends_granted: u64,
-    /// Amends rejected (original untouched).
-    pub amends_rejected: u64,
-    /// Submissions awaiting the next round.
-    pub pending: u64,
-    /// Live (unexpired, uncancelled) reservations.
-    pub live_reservations: u64,
-    /// Profile breakpoints dropped by watermark GC.
-    pub gc_truncated_bps: u64,
-    /// Breakpoints currently held across all port profiles.
-    pub breakpoints_live: u64,
-    /// Engine virtual clock (seconds).
-    pub virtual_time: f64,
-    /// Current GC watermark (absent until the first sweep, or when
-    /// `--gc-horizon` is off).
-    pub gc_watermark: Option<f64>,
-    /// Submit → decision latency distribution.
-    pub decision_latency: LatencySnapshot,
-    /// WAL fsync latency distribution.
-    pub fsync: LatencySnapshot,
 }
 
 impl StatsSnapshot {

@@ -46,7 +46,7 @@ pub const WIRE_MAGIC: [u8; 8] = *b"GBWIR01\n";
 /// v3: malleable reservations — `Submit` gained a trailing malleable
 /// flag byte, the `Amend` message (tag 10) renegotiates a live malleable
 /// transfer, grants may arrive as `AcceptedSegments` (server tag 11),
-/// and the `Stats` frame widened again (51 → 57 counters). A v2 peer
+/// and the `Stats` frame widened again (six more counters). A v2 peer
 /// would misparse all three, so it is refused at its first frame.
 pub const WIRE_VERSION: u8 = 3;
 
@@ -553,71 +553,13 @@ fn get_latency(r: &mut Reader) -> Result<LatencySnapshot, WireError> {
     })
 }
 
-/// Field order below is the declaration order of [`StatsSnapshot`]; the
-/// round-trip proptest in `tests/` breaks if either side drifts.
+/// Header, counter block, trailer: the block is [`StatsSnapshot::counters`]
+/// in order, so the table in `metrics.rs` is the frame layout.
 fn put_stats(w: &mut Writer, s: &StatsSnapshot) {
     w.string(&s.role);
     w.u64(s.uptime_s);
     w.u32(s.protocol_version);
-    for v in [
-        s.submitted,
-        s.accepted,
-        s.rejected,
-        s.refused_early,
-        s.cancelled,
-        s.queries,
-        s.queue_full,
-        s.protocol_errors,
-        s.connections,
-        s.conns_json,
-        s.conns_binary,
-        s.ticks,
-        s.gc_reclaimed,
-        s.replies_dropped,
-        s.wal_appends,
-        s.wal_bytes,
-        s.snapshots_written,
-        s.recovery_replayed_records,
-        s.admit_threads,
-        s.shards,
-        s.largest_shard,
-        s.repl_records_shipped,
-        s.repl_bytes_shipped,
-        s.repl_snapshots_shipped,
-        s.repl_shipped_seq,
-        s.repl_acked_seq,
-        s.repl_synced,
-        s.repl_records_applied,
-        s.repl_bytes_applied,
-        s.repl_snapshots_applied,
-        s.repl_resyncs,
-        s.repl_frames_discarded,
-        s.repl_frames_damaged,
-        s.repl_beacons_checked,
-        s.repl_divergence,
-        s.holds_placed,
-        s.holds_committed,
-        s.holds_released,
-        s.holds_expired,
-        s.accepted_gold,
-        s.accepted_silver,
-        s.accepted_besteffort,
-        s.qos_boost_rounds,
-        s.qos_boosted_mb,
-        s.qos_early_releases,
-        s.qos_finish_violations,
-        s.qos_oversubscriptions,
-        s.submitted_malleable,
-        s.accepted_malleable,
-        s.rejected_malleable,
-        s.amend_requests,
-        s.amends_granted,
-        s.amends_rejected,
-        s.pending,
-        s.live_reservations,
-        s.gc_truncated_bps,
-        s.breakpoints_live,
-    ] {
+    for v in s.counters() {
         w.u64(v);
     }
     w.f64(s.virtual_time);
@@ -630,7 +572,7 @@ fn get_stats(r: &mut Reader) -> Result<StatsSnapshot, WireError> {
     let role = r.string()?;
     let uptime_s = r.u64()?;
     let protocol_version = r.u32()?;
-    let mut c = [0u64; 57];
+    let mut c = [0u64; StatsSnapshot::N];
     for v in c.iter_mut() {
         *v = r.u64()?;
     }
@@ -638,67 +580,11 @@ fn get_stats(r: &mut Reader) -> Result<StatsSnapshot, WireError> {
         role,
         uptime_s,
         protocol_version,
-        submitted: c[0],
-        accepted: c[1],
-        rejected: c[2],
-        refused_early: c[3],
-        cancelled: c[4],
-        queries: c[5],
-        queue_full: c[6],
-        protocol_errors: c[7],
-        connections: c[8],
-        conns_json: c[9],
-        conns_binary: c[10],
-        ticks: c[11],
-        gc_reclaimed: c[12],
-        replies_dropped: c[13],
-        wal_appends: c[14],
-        wal_bytes: c[15],
-        snapshots_written: c[16],
-        recovery_replayed_records: c[17],
-        admit_threads: c[18],
-        shards: c[19],
-        largest_shard: c[20],
-        repl_records_shipped: c[21],
-        repl_bytes_shipped: c[22],
-        repl_snapshots_shipped: c[23],
-        repl_shipped_seq: c[24],
-        repl_acked_seq: c[25],
-        repl_synced: c[26],
-        repl_records_applied: c[27],
-        repl_bytes_applied: c[28],
-        repl_snapshots_applied: c[29],
-        repl_resyncs: c[30],
-        repl_frames_discarded: c[31],
-        repl_frames_damaged: c[32],
-        repl_beacons_checked: c[33],
-        repl_divergence: c[34],
-        holds_placed: c[35],
-        holds_committed: c[36],
-        holds_released: c[37],
-        holds_expired: c[38],
-        accepted_gold: c[39],
-        accepted_silver: c[40],
-        accepted_besteffort: c[41],
-        qos_boost_rounds: c[42],
-        qos_boosted_mb: c[43],
-        qos_early_releases: c[44],
-        qos_finish_violations: c[45],
-        qos_oversubscriptions: c[46],
-        submitted_malleable: c[47],
-        accepted_malleable: c[48],
-        rejected_malleable: c[49],
-        amend_requests: c[50],
-        amends_granted: c[51],
-        amends_rejected: c[52],
-        pending: c[53],
-        live_reservations: c[54],
-        gc_truncated_bps: c[55],
-        breakpoints_live: c[56],
         virtual_time: r.f64()?,
         gc_watermark: r.opt_f64()?,
         decision_latency: get_latency(r)?,
         fsync: get_latency(r)?,
+        ..StatsSnapshot::from_counters(c)
     })
 }
 

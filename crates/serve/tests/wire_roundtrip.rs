@@ -79,113 +79,33 @@ fn client_msg() -> impl Strategy<Value = ClientMsg> {
 }
 
 fn stats_snapshot() -> impl Strategy<Value = StatsSnapshot> {
+    let n = StatsSnapshot::N;
     (
-        (
-            0u64..1000,
-            0u64..1000,
-            0u64..1000,
-            0u64..1000,
-            0u64..1000,
-            0u64..1000,
-        ),
-        (
-            0u64..1000,
-            0u64..1000,
-            0u64..1000,
-            0u64..1000,
-            0u64..1000,
-            0u64..1000,
-        ),
-        (0u64..1000, 0u64..1000, wire_f64(), wire_f64()),
+        prop::collection::vec(0u64..1000, n..n + 1),
+        (0usize..3, wire_f64(), wire_f64()),
     )
-        .prop_map(
-            |(
-                (submitted, accepted, rejected, refused_early, cancelled, queries),
-                (queue_full, protocol_errors, connections, ticks, gc_reclaimed, pending),
-                (replies_dropped, count, virtual_time, mean_ms),
-            )| StatsSnapshot {
-                role: match submitted % 3 {
-                    0 => "solo".to_string(),
-                    1 => "primary".to_string(),
-                    _ => "follower".to_string(),
-                },
-                uptime_s: ticks * 3,
-                protocol_version: 1 + (queries % 4) as u32,
-                submitted,
-                accepted,
-                rejected,
-                refused_early,
-                cancelled,
-                queries,
-                queue_full,
-                protocol_errors,
-                connections,
-                conns_json: connections / 2,
-                conns_binary: connections - connections / 2,
-                ticks,
-                gc_reclaimed,
-                replies_dropped,
-                wal_appends: ticks,
-                wal_bytes: ticks * 48,
-                snapshots_written: ticks / 10,
-                recovery_replayed_records: gc_reclaimed,
-                admit_threads: 1 + ticks % 8,
-                shards: pending % 16,
-                largest_shard: pending % 16,
-                repl_records_shipped: accepted + rejected,
-                repl_bytes_shipped: (accepted + rejected) * 96,
-                repl_snapshots_shipped: ticks / 100,
-                repl_shipped_seq: accepted + rejected + 2,
-                repl_acked_seq: accepted + rejected,
-                repl_synced: queries % 2,
-                repl_records_applied: accepted + rejected,
-                repl_bytes_applied: (accepted + rejected) * 96,
-                repl_snapshots_applied: ticks / 100,
-                repl_resyncs: queue_full % 3,
-                repl_frames_discarded: queue_full % 5,
-                repl_frames_damaged: queue_full % 2,
-                repl_beacons_checked: ticks / 4,
-                repl_divergence: 0,
-                holds_placed: cancelled + queries,
-                holds_committed: cancelled,
-                holds_released: queries / 2,
-                holds_expired: queries % 7,
-                accepted_gold: accepted / 3,
-                accepted_silver: accepted / 2,
-                accepted_besteffort: accepted - accepted / 2 - accepted / 3,
-                submitted_malleable: submitted / 4,
-                accepted_malleable: accepted / 4,
-                rejected_malleable: rejected / 4,
-                amend_requests: queries / 3,
-                amends_granted: queries / 4,
-                amends_rejected: queries / 3 - queries / 4,
-                qos_boost_rounds: ticks / 2,
-                qos_boosted_mb: gc_reclaimed * 17,
-                qos_early_releases: accepted / 5,
-                qos_finish_violations: 0,
-                qos_oversubscriptions: 0,
-                pending,
-                live_reservations: count,
-                gc_truncated_bps: gc_reclaimed * 9,
-                breakpoints_live: ticks * 5 + 7,
-                virtual_time,
-                gc_watermark: (ticks % 2 == 0).then_some(virtual_time / 2.0),
-                decision_latency: LatencySnapshot {
-                    count,
-                    mean_ms,
-                    p50_ms: mean_ms,
-                    p95_ms: mean_ms * 2.0,
-                    p99_ms: mean_ms * 4.0,
-                },
-                fsync: LatencySnapshot {
-                    count: ticks,
-                    mean_ms,
-                    p50_ms: mean_ms,
-                    p95_ms: mean_ms * 3.0,
-                    p99_ms: mean_ms * 5.0,
-                },
+        .prop_map(|(c, (role, virtual_time, mean_ms))| StatsSnapshot {
+            role: ["solo", "primary", "follower"][role].to_string(),
+            uptime_s: c[0] * 3,
+            protocol_version: 1 + (c[1] % 4) as u32,
+            virtual_time,
+            gc_watermark: (c[2] % 2 == 0).then_some(virtual_time / 2.0),
+            decision_latency: LatencySnapshot {
+                count: c[3],
+                mean_ms,
+                p50_ms: mean_ms,
+                p95_ms: mean_ms * 2.0,
+                p99_ms: mean_ms * 4.0,
             },
-        )
+            fsync: LatencySnapshot {
+                count: c[4],
+                mean_ms,
+                p50_ms: mean_ms,
+                p95_ms: mean_ms * 3.0,
+                p99_ms: mean_ms * 5.0,
+            },
+            ..StatsSnapshot::from_counters(c.try_into().expect("N counters"))
+        })
 }
 
 fn server_msg() -> impl Strategy<Value = ServerMsg> {

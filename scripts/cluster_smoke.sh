@@ -17,6 +17,7 @@
 # Usage: scripts/cluster_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
+. scripts/lib.sh
 
 SEED=7
 SOLO_PORT=7550
@@ -37,25 +38,6 @@ cleanup() {
     rm -rf "$WORK"
 }
 trap cleanup EXIT
-
-wait_port() {
-    for _ in $(seq 100); do
-        if (exec 3<>"/dev/tcp/127.0.0.1/$1") 2>/dev/null; then
-            return 0
-        fi
-        sleep 0.1
-    done
-    echo "cluster_smoke: daemon on port $1 never came up" >&2
-    return 1
-}
-
-stats_of() {
-    (
-        exec 3<>"/dev/tcp/127.0.0.1/$1"
-        printf '{"v": 3, "body": "Stats"}\n' >&3
-        head -n1 <&3
-    ) 2>/dev/null || true
-}
 
 wait_synced() {
     for _ in $(seq 200); do

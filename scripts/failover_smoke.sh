@@ -13,6 +13,7 @@
 # Usage: scripts/failover_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
+. scripts/lib.sh
 
 REQS=400
 KILL_AT=250        # ~ virtual time 250 s = round 5 at the 50 s default step
@@ -35,27 +36,6 @@ cleanup() {
     rm -rf "$WORK"
 }
 trap cleanup EXIT
-
-wait_port() {
-    for _ in $(seq 100); do
-        # The fd opens (and closes) inside the subshell only.
-        if (exec 3<>"/dev/tcp/127.0.0.1/$1") 2>/dev/null; then
-            return 0
-        fi
-        sleep 0.1
-    done
-    echo "failover_smoke: daemon on port $1 never came up" >&2
-    return 1
-}
-
-# One Stats round-trip over /dev/tcp; prints the raw reply line.
-stats_of() {
-    (
-        exec 3<>"/dev/tcp/127.0.0.1/$1"
-        printf '{"v": 3, "body": "Stats"}\n' >&3
-        head -n1 <&3
-    ) 2>/dev/null || true
-}
 
 # Block until the primary reports the follower has applied everything it
 # shipped (repl_synced flips to 1 once the ack position matches).

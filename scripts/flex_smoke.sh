@@ -27,6 +27,7 @@
 # Usage: scripts/flex_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
+. scripts/lib.sh
 
 REQS=400
 SEED=7
@@ -53,18 +54,6 @@ cleanup() {
 }
 trap cleanup EXIT
 
-wait_port() {
-    for _ in $(seq 100); do
-        # The fd opens (and closes) inside the subshell only.
-        if (exec 3<>"/dev/tcp/127.0.0.1/$1") 2>/dev/null; then
-            return 0
-        fi
-        sleep 0.1
-    done
-    echo "flex_smoke: daemon on port $1 never came up" >&2
-    return 1
-}
-
 json_field() {
     grep -o "\"$2\": *[0-9.]*" "$1" | head -n1 | grep -o '[0-9.]*$'
 }
@@ -77,7 +66,7 @@ query_dump() {
     (
         exec 3<>"/dev/tcp/127.0.0.1/$port"
         while read -r id; do
-            printf '{"v": 3, "body": {"Query": {"id": %s}}}\n' "$id" >&3
+            printf '{"v": %s, "body": {"Query": {"id": %s}}}\n' "$PROTOCOL_VERSION" "$id" >&3
         done <"$ids"
         head -n "$n" <&3
     )

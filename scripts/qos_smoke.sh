@@ -18,6 +18,7 @@
 # Usage: scripts/qos_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
+. scripts/lib.sh
 
 SEED=7
 PLAIN_PORT=7570
@@ -39,17 +40,6 @@ cleanup() {
     rm -rf "$WORK"
 }
 trap cleanup EXIT
-
-wait_port() {
-    for _ in $(seq 100); do
-        if (exec 3<>"/dev/tcp/127.0.0.1/$1") 2>/dev/null; then
-            return 0
-        fi
-        sleep 0.1
-    done
-    echo "qos_smoke: daemon on port $1 never came up" >&2
-    return 1
-}
 
 json_field() {
     grep -o "\"$2\": *[0-9.]*" "$1" | head -n1 | grep -o '[0-9.]*$'

@@ -9,6 +9,7 @@
 # Usage: scripts/recovery_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
+. scripts/lib.sh
 
 REQS=400
 KILL_AT=250        # ~ virtual time 250 s = round 5 at the 50 s default step
@@ -28,18 +29,6 @@ cleanup() {
     rm -rf "$WORK"
 }
 trap cleanup EXIT
-
-wait_port() {
-    for _ in $(seq 100); do
-        # The fd opens (and closes) inside the subshell only.
-        if (exec 3<>"/dev/tcp/127.0.0.1/$1") 2>/dev/null; then
-            return 0
-        fi
-        sleep 0.1
-    done
-    echo "recovery_smoke: daemon on port $1 never came up" >&2
-    return 1
-}
 
 accepted_of() { sed -n 's/.*"accepted": \([0-9]*\).*/\1/p' "$1" | head -1; }
 requests_of() { sed -n 's/.*"requests": \([0-9]*\).*/\1/p' "$1" | head -1; }

@@ -19,6 +19,7 @@
 # Usage: scripts/soak_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
+. scripts/lib.sh
 
 PORT=7570
 REQUESTS=20000
@@ -44,25 +45,6 @@ cleanup() {
     rm -rf "$WORK"
 }
 trap cleanup EXIT
-
-wait_port() {
-    for _ in $(seq 100); do
-        if (exec 3<>"/dev/tcp/127.0.0.1/$1") 2>/dev/null; then
-            return 0
-        fi
-        sleep 0.1
-    done
-    echo "soak_smoke: daemon on port $1 never came up" >&2
-    return 1
-}
-
-stats_of() {
-    (
-        exec 3<>"/dev/tcp/127.0.0.1/$1"
-        printf '{"v": 3, "body": "Stats"}\n' >&3
-        head -n1 <&3
-    ) 2>/dev/null || true
-}
 
 rss_kb() {
     awk '/^VmRSS:/ { print $2 }' "/proc/$1/status"

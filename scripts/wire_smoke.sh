@@ -16,6 +16,7 @@
 # Usage: scripts/wire_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
+. scripts/lib.sh
 
 SEED=7
 JSON_PORT=7560
@@ -37,25 +38,6 @@ cleanup() {
     rm -rf "$WORK"
 }
 trap cleanup EXIT
-
-wait_port() {
-    for _ in $(seq 100); do
-        if (exec 3<>"/dev/tcp/127.0.0.1/$1") 2>/dev/null; then
-            return 0
-        fi
-        sleep 0.1
-    done
-    echo "wire_smoke: daemon on port $1 never came up" >&2
-    return 1
-}
-
-stats_of() {
-    (
-        exec 3<>"/dev/tcp/127.0.0.1/$1"
-        printf '{"v": 3, "body": "Stats"}\n' >&3
-        head -n1 <&3
-    ) 2>/dev/null || true
-}
 
 echo "== phase 1: cluster --decisions, json vs binary codec ==" >&2
 "$GRIDBAND" serve --addr "127.0.0.1:$JSON_PORT" &

@@ -90,20 +90,20 @@ impl FollowerCore {
     pub fn open(cfg: FollowerConfig, metrics: Arc<MetricsRegistry>) -> StoreResult<FollowerCore> {
         let (_store, recovered) = Store::open(cfg.dir.clone(), FsyncPolicy::Off)?;
         let gen = recovered.gen;
-        let mut state = EngineState::new(cfg.topology.clone(), cfg.step, cfg.history_capacity);
-        if let Some(payload) = &recovered.snapshot {
-            let file = snap_name(gen);
-            let snapshot = EngineSnapshot::decode(&file, payload)?;
-            state.restore(snapshot, &file)?;
-        }
-        let wal_file = wal_name(gen);
-        let mut offset = MAGIC_WAL.len() as u64;
-        let mut tally = ReplayTally::default();
-        for (o, payload) in &recovered.records {
-            let record = WalRecord::decode(&wal_file, *o, payload)?;
-            state.apply(record, &wal_file, *o, &mut tally)?;
-            offset = *o + (RECORD_HEADER + payload.len()) as u64;
-        }
+        let (state, _) = EngineState::from_log(
+            cfg.topology.clone(),
+            cfg.step,
+            cfg.history_capacity,
+            gen,
+            recovered.snapshot.as_deref(),
+            &recovered.records,
+        )?;
+        let offset = recovered
+            .records
+            .last()
+            .map_or(MAGIC_WAL.len() as u64, |(o, payload)| {
+                *o + (RECORD_HEADER + payload.len()) as u64
+            });
         Ok(FollowerCore {
             cfg,
             metrics,
@@ -344,14 +344,15 @@ impl FollowerCore {
     /// durable snapshot first, then a fresh WAL, then sweep our old
     /// generation.
     fn install_snapshot(&mut self, gen: u64, payload: &[u8]) -> StoreResult<()> {
-        let snap_file = snap_name(gen);
-        let snapshot = EngineSnapshot::decode(&snap_file, payload)?;
-        let mut state = EngineState::new(
+        let (state, _) = EngineState::from_log(
             self.cfg.topology.clone(),
             self.cfg.step,
             self.cfg.history_capacity,
-        );
-        state.restore(snapshot, &snap_file)?;
+            gen,
+            Some(payload),
+            &[],
+        )?;
+        let snap_file = snap_name(gen);
         let mut snap_bytes = MAGIC_SNAP.to_vec();
         snap_bytes.extend_from_slice(&frame_record(payload));
         self.cfg
@@ -391,8 +392,8 @@ impl FollowerCore {
                 .sync(&file)
                 .map_err(|e| StoreError::io(&file, e))?;
         }
-        let mut tally = ReplayTally::default();
-        self.state.apply(record, &file, self.offset, &mut tally)?;
+        self.state
+            .apply(record, &file, self.offset, &mut ReplayTally::default())?;
         self.offset += framed.len() as u64;
         MetricsRegistry::inc(&self.metrics.repl_records_applied);
         MetricsRegistry::add(&self.metrics.repl_bytes_applied, framed.len() as u64);

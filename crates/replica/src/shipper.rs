@@ -28,8 +28,7 @@ use gridband_net::Topology;
 use gridband_serve::{EngineState, MetricsRegistry, ReplayTally};
 use gridband_store::wal::{parse_snapshot, scan_records, MAGIC_WAL, RECORD_HEADER};
 use gridband_store::{
-    crc32, snap_name, wal_name, Dir, EngineSnapshot, StoreError, StoreResult, TailEvent, WalRecord,
-    WalTail,
+    crc32, snap_name, wal_name, Dir, StoreError, StoreResult, TailEvent, WalRecord, WalTail,
 };
 
 use crate::link::{Link, Recv, TcpLink};
@@ -219,25 +218,15 @@ impl ShipperCore {
         if offset > scan.valid_len || !boundary {
             return Ok(false);
         }
-        let mut state = EngineState::new(
+        let before = scan.records.partition_point(|(o, _)| *o < offset);
+        (self.state, _) = EngineState::from_log(
             self.cfg.topology.clone(),
             self.cfg.step,
             self.cfg.history_capacity,
-        );
-        if let Some(payload) = snap_payload {
-            let file = snap_name(gen);
-            let snapshot = EngineSnapshot::decode(&file, &payload)?;
-            state.restore(snapshot, &file)?;
-        }
-        let mut tally = ReplayTally::default();
-        for (o, payload) in &scan.records {
-            if *o >= offset {
-                break;
-            }
-            let record = WalRecord::decode(&wal_file, *o, payload)?;
-            state.apply(record, &wal_file, *o, &mut tally)?;
-        }
-        self.state = state;
+            gen,
+            snap_payload.as_deref(),
+            &scan.records[..before],
+        )?;
         self.tail.seek(gen, offset);
         self.shipped = Some((gen, offset));
         self.records_since_beacon = 0;
@@ -255,15 +244,15 @@ impl ShipperCore {
         for event in events {
             match event {
                 TailEvent::Snapshot { gen, payload } => {
-                    let file = snap_name(gen);
-                    let snapshot = EngineSnapshot::decode(&file, &payload)?;
-                    let mut state = EngineState::new(
+                    (self.state, _) = EngineState::from_log(
                         self.cfg.topology.clone(),
                         self.cfg.step,
                         self.cfg.history_capacity,
-                    );
-                    state.restore(snapshot, &file)?;
-                    self.state = state;
+                        gen,
+                        Some(&payload),
+                        &[],
+                    )?;
+                    let file = snap_name(gen);
                     let crc = crc32(&payload);
                     let text = String::from_utf8(payload).map_err(|_| {
                         StoreError::corrupt(&file, 0, "snapshot payload is not UTF-8")
@@ -288,8 +277,8 @@ impl ShipperCore {
                 } => {
                     let file = wal_name(gen);
                     let record = WalRecord::decode(&file, offset, &payload)?;
-                    let mut tally = ReplayTally::default();
-                    self.state.apply(record, &file, offset, &mut tally)?;
+                    self.state
+                        .apply(record, &file, offset, &mut ReplayTally::default())?;
                     let framed = (RECORD_HEADER + payload.len()) as u64;
                     let crc = crc32(&payload);
                     let text = String::from_utf8(payload).map_err(|_| {

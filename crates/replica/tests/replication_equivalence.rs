@@ -286,7 +286,7 @@ fn run_uninterrupted(
     EngineSnapshot,
 ) {
     let dir = Arc::new(MemDir::new());
-    let engine = Engine::spawn(config(dir, snapshot_every, gc_horizon));
+    let engine = Engine::spawn(config(dir.clone(), snapshot_every, gc_horizon));
     let mut session = Session::default();
     for (idx, event) in events.iter().enumerate() {
         assert!(session.send(&engine, idx, event), "engine died mid-run");
@@ -297,6 +297,15 @@ fn run_uninterrupted(
     session.harvest(&mut decisions, &mut Vec::new(), &mut amend_replies);
     let snap = export(&engine);
     engine.shutdown();
+    // Live ≡ follower: a standby opened on the primary's own store holds
+    // the live image.
+    let follower = FollowerCore::open(follower_cfg(dir), Arc::new(MetricsRegistry::new()))
+        .expect("a follower opens the primary's store");
+    assert_eq!(
+        follower.export(),
+        snap,
+        "the follower's replay diverges from the live engine"
+    );
     (decisions, amend_replies, snap)
 }
 

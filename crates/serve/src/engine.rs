@@ -27,18 +27,17 @@ use gridband_algos::WindowScheduler;
 use gridband_flex::FlexSpec;
 use gridband_net::units::EPS;
 use gridband_net::SegSpan;
-use gridband_net::{EgressId, NetResult, PortRef, ReservationId, ReserveRequest, Route, Topology};
+use gridband_net::{EgressId, PortRef, Route, Topology};
 use gridband_qos::{AcceptedTransfer, QosConfig, Redistributor};
 use gridband_sim::{AdmissionController, Decision};
 use gridband_store::{
-    EngineSnapshot, Recovered, RoundDecision, Store, StoreConfig, StoreError, StoreResult,
-    WalRecord,
+    EngineSnapshot, RoundDecision, Store, StoreConfig, StoreError, StoreResult, WalRecord,
 };
 use gridband_workload::{Request, TimeWindow};
 
 use crate::metrics::{MetricsRegistry, Role};
 use crate::protocol::{ClientMsg, RejectReason, ReqState, ServerMsg, SubmitReq};
-use crate::state::{EngineState, ReplayTally};
+use crate::state::EngineState;
 
 /// How the engine's clock advances.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -290,14 +289,8 @@ impl Engine {
             step,
             ticker_stop,
             thread: Some(thread),
-            ticker: None,
-        }
-        .with_ticker(ticker))
-    }
-
-    fn with_ticker(mut self, ticker: Option<std::thread::JoinHandle<()>>) -> Self {
-        self.ticker = ticker;
-        self
+            ticker,
+        })
     }
 
     /// A sender connections use to enqueue commands.
@@ -326,14 +319,7 @@ impl Engine {
 
     /// Decide everything pending and stop the engine thread.
     pub fn shutdown(mut self) {
-        self.ticker_stop.store(true, Ordering::Relaxed);
-        let _ = self.tx.send(Command::Shutdown);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.ticker.take() {
-            let _ = t.join();
-        }
+        self.stop(Command::Shutdown);
     }
 
     /// Stop the engine *without* a drain round: pending submissions are
@@ -341,8 +327,14 @@ impl Engine {
     /// leave them. Recovery tests restart a store-backed engine after
     /// this and expect it to resume from its last durable round.
     pub fn kill(mut self) {
+        self.stop(Command::Halt);
+    }
+
+    /// Stop the ticker, hand the engine thread its last command, and join
+    /// both threads.
+    fn stop(&mut self, last: Command) {
         self.ticker_stop.store(true, Ordering::Relaxed);
-        let _ = self.tx.send(Command::Halt);
+        let _ = self.tx.send(last);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -354,14 +346,7 @@ impl Engine {
 
 impl Drop for Engine {
     fn drop(&mut self) {
-        self.ticker_stop.store(true, Ordering::Relaxed);
-        let _ = self.tx.send(Command::Shutdown);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.ticker.take() {
-            let _ = t.join();
-        }
+        self.stop(Command::Shutdown);
     }
 }
 
@@ -444,52 +429,31 @@ impl EngineLoop {
             qos,
         };
         if let Some(cfg) = store_cfg {
+            // Rebuild the pre-crash state through the replay the
+            // replication mirrors run, and fold it into the live metrics.
             let (store, recovered) = Store::open(cfg.dir, cfg.fsync)?;
+            let (st, tally) = EngineState::from_log(
+                this.config.topology.clone(),
+                this.config.step,
+                this.config.history_capacity,
+                recovered.gen,
+                recovered.snapshot.as_deref(),
+                &recovered.records,
+            )?;
+            let m = &this.metrics;
+            MetricsRegistry::add(&m.recovery_replayed_records, recovered.records.len() as u64);
+            m.ticks.store(st.rounds, Ordering::Relaxed);
+            m.record_replay(&tally);
+            if let Some(w) = st.ledger.watermark() {
+                m.gc_watermark.set(w);
+            }
+            m.breakpoints_live
+                .store(st.ledger.breakpoint_count() as u64, Ordering::Relaxed);
+            this.st = st;
             this.snapshot_every = cfg.snapshot_every;
-            this.recover(recovered)?;
             this.store = Some(store);
         }
         Ok(this)
-    }
-
-    /// Rebuild the pre-crash engine from what [`Store::open`] found:
-    /// restore the snapshot verbatim, then replay the WAL tail. The
-    /// heavy lifting lives in [`EngineState`], shared with the
-    /// replication mirrors; this wrapper only folds the replay tally
-    /// into the live metrics.
-    fn recover(&mut self, recovered: Recovered) -> StoreResult<()> {
-        let snap_file = format!("snap-{}", recovered.gen);
-        let wal_file = format!("wal-{}", recovered.gen);
-        if let Some(payload) = &recovered.snapshot {
-            let snap = EngineSnapshot::decode(&snap_file, payload)?;
-            self.st.restore(snap, &snap_file)?;
-        }
-        let mut tally = ReplayTally::default();
-        for (offset, payload) in &recovered.records {
-            let record = WalRecord::decode(&wal_file, *offset, payload)?;
-            self.st.apply(record, &wal_file, *offset, &mut tally)?;
-            MetricsRegistry::inc(&self.metrics.recovery_replayed_records);
-        }
-        self.metrics.ticks.store(self.st.rounds, Ordering::Relaxed);
-        MetricsRegistry::add(&self.metrics.accepted, tally.accepted);
-        MetricsRegistry::add(&self.metrics.rejected, tally.rejected);
-        MetricsRegistry::add(&self.metrics.cancelled, tally.cancelled);
-        MetricsRegistry::add(&self.metrics.refused_early, tally.refused_early);
-        MetricsRegistry::add(&self.metrics.gc_reclaimed, tally.gc_reclaimed);
-        MetricsRegistry::add(&self.metrics.gc_truncated_bps, tally.gc_truncated_bps);
-        if let Some(w) = self.st.ledger.watermark() {
-            self.metrics.gc_watermark.set(w);
-        }
-        self.metrics
-            .breakpoints_live
-            .store(self.st.ledger.breakpoint_count() as u64, Ordering::Relaxed);
-        MetricsRegistry::add(&self.metrics.holds_placed, tally.holds_placed);
-        MetricsRegistry::add(&self.metrics.holds_committed, tally.holds_committed);
-        // Replay cannot tell an explicit release from an expiry sweep —
-        // both are `HoldRelease` records — so recovered counts land in
-        // the released bucket.
-        MetricsRegistry::add(&self.metrics.holds_released, tally.holds_released);
-        Ok(())
     }
 
     fn run(mut self) {
@@ -497,17 +461,13 @@ impl EngineLoop {
             let Ok(cmd) = self.rx.recv() else { break };
             match cmd {
                 Command::Client { msg, reply } => self.handle_client(msg, reply),
-                Command::Tick => {
-                    let t = self.st.next_tick;
-                    self.run_round(t);
-                }
+                Command::Tick => self.run_round(self.st.next_tick),
                 Command::Shutdown => {
                     if !self.pending.is_empty()
                         || !self.pending_flex.is_empty()
                         || !self.pending_amends.is_empty()
                     {
-                        let t = self.st.next_tick;
-                        self.run_round(t);
+                        self.run_round(self.st.next_tick);
                     }
                     break;
                 }
@@ -538,8 +498,8 @@ impl EngineLoop {
                 finish,
                 at,
             } => self.handle_hold_attach(txn, egress, bw, start, finish, at, reply),
-            ClientMsg::HoldCommit { txn, at } => self.handle_hold_commit(txn, at, reply),
-            ClientMsg::HoldRelease { txn, at } => self.handle_hold_release(txn, at, reply),
+            ClientMsg::HoldCommit { txn, at } => self.handle_hold_end(txn, at, true, reply),
+            ClientMsg::HoldRelease { txn, at } => self.handle_hold_end(txn, at, false, reply),
             ClientMsg::Query { id } => {
                 MetricsRegistry::inc(&self.metrics.queries);
                 let state = if self.pending.contains_key(&id) || self.flex_pending(id) {
@@ -562,8 +522,7 @@ impl EngineLoop {
                 self.draining = true;
                 let n = (self.pending.len() + self.pending_flex.len()) as u64;
                 if n > 0 || !self.pending_amends.is_empty() {
-                    let t = self.st.next_tick;
-                    self.run_round(t);
+                    self.run_round(self.st.next_tick);
                     if self.dead {
                         return;
                     }
@@ -592,6 +551,19 @@ impl EngineLoop {
         self.pending_flex.iter().any(|p| p.id == id)
     }
 
+    /// The tombstone of a submission, rigid or malleable, that awaits its
+    /// round.
+    fn tombstone_of(&mut self, id: u64) -> Option<&mut bool> {
+        match self.pending.get_mut(&id) {
+            Some(entry) => Some(&mut entry.cancelled),
+            None => self
+                .pending_flex
+                .iter_mut()
+                .find(|p| p.id == id)
+                .map(|p| &mut p.cancelled),
+        }
+    }
+
     fn handle_submit(&mut self, s: SubmitReq, reply: ReplySink) {
         MetricsRegistry::inc(&self.metrics.submitted);
         if s.is_malleable() {
@@ -615,19 +587,7 @@ impl EngineLoop {
         // this bound the catch-up loop below would run ~start/step rounds,
         // freezing the single engine thread — and every client — forever.
         if !start.is_finite() || start > self.st.now + self.config.max_horizon {
-            MetricsRegistry::inc(&self.metrics.refused_early);
-            self.st.record_state(s.id, ReqState::Rejected);
-            if !self.log_event(WalRecord::EarlyReject { id: s.id }) {
-                return;
-            }
-            self.send_reply(
-                &reply,
-                ServerMsg::Rejected {
-                    id: s.id,
-                    reason: RejectReason::Invalid,
-                    retry_after: None,
-                },
-            );
+            self.reject_early(s.id, RejectReason::Invalid, &reply);
             return;
         }
         if !self.advance_virtual_clock(start) {
@@ -641,19 +601,7 @@ impl EngineLoop {
                         // The malleable path is not enabled: refuse the
                         // class outright rather than silently degrading
                         // the request to a rigid admission.
-                        MetricsRegistry::inc(&self.metrics.refused_early);
-                        self.st.record_state(s.id, ReqState::Rejected);
-                        if !self.log_event(WalRecord::EarlyReject { id: s.id }) {
-                            return;
-                        }
-                        self.send_reply(
-                            &reply,
-                            ServerMsg::Rejected {
-                                id: s.id,
-                                reason: RejectReason::Invalid,
-                                retry_after: None,
-                            },
-                        );
+                        self.reject_early(s.id, RejectReason::Invalid, &reply);
                         return;
                     }
                     // Malleable submissions never reach the rigid
@@ -693,22 +641,27 @@ impl EngineLoop {
                     },
                 );
             }
-            Err(reason) => {
-                MetricsRegistry::inc(&self.metrics.refused_early);
-                self.st.record_state(s.id, ReqState::Rejected);
-                if !self.log_event(WalRecord::EarlyReject { id: s.id }) {
-                    return;
-                }
-                self.send_reply(
-                    &reply,
-                    ServerMsg::Rejected {
-                        id: s.id,
-                        reason,
-                        retry_after: None,
-                    },
-                );
-            }
+            Err(reason) => self.reject_early(s.id, reason, &reply),
         }
+    }
+
+    /// Refuse a submission before any round sees it: count it, record it
+    /// `Rejected`, log the `EarlyReject`, and reply — unless the log
+    /// write failed, which halts the engine unreplied.
+    fn reject_early(&mut self, id: u64, reason: RejectReason, reply: &ReplySink) {
+        MetricsRegistry::inc(&self.metrics.refused_early);
+        self.st.record_state(id, ReqState::Rejected);
+        if !self.log_event(WalRecord::EarlyReject { id }) {
+            return;
+        }
+        self.send_reply(
+            reply,
+            ServerMsg::Rejected {
+                id,
+                reason,
+                retry_after: None,
+            },
+        );
     }
 
     /// Drive the virtual clock to `to`: fire every round due before (or
@@ -738,8 +691,7 @@ impl EngineLoop {
                     self.st.next_tick += behind * self.config.step;
                 }
             }
-            let t = self.st.next_tick;
-            self.run_round(t);
+            self.run_round(self.st.next_tick);
             if self.dead {
                 return false;
             }
@@ -755,44 +707,27 @@ impl EngineLoop {
     /// only ever charges the port it owns.
     fn handle_hold_open(&mut self, s: SubmitReq, reply: ReplySink) {
         let txn = s.id;
+        let deny = |reason| ServerMsg::HoldDenied { txn, reason };
         if self.draining {
-            self.send_reply(
-                &reply,
-                ServerMsg::HoldDenied {
-                    txn,
-                    reason: RejectReason::Drained,
-                },
-            );
+            self.send_reply(&reply, deny(RejectReason::Drained));
             return;
         }
         let start = s.start.unwrap_or(self.st.now).max(self.st.now);
         if !start.is_finite() || start > self.st.now + self.config.max_horizon {
-            self.send_reply(
-                &reply,
-                ServerMsg::HoldDenied {
-                    txn,
-                    reason: RejectReason::Invalid,
-                },
-            );
+            self.send_reply(&reply, deny(RejectReason::Invalid));
             return;
         }
         if !self.advance_virtual_clock(start) {
             return;
         }
         if self.st.hold_of(txn).is_some() {
-            self.send_reply(
-                &reply,
-                ServerMsg::HoldDenied {
-                    txn,
-                    reason: RejectReason::Invalid,
-                },
-            );
+            self.send_reply(&reply, deny(RejectReason::Invalid));
             return;
         }
         let req = match self.validate(&s, start) {
             Ok(req) => req,
             Err(reason) => {
-                self.send_reply(&reply, ServerMsg::HoldDenied { txn, reason });
+                self.send_reply(&reply, deny(reason));
                 return;
             }
         };
@@ -804,54 +739,24 @@ impl EngineLoop {
             .ingress_profile(req.route.ingress)
             .earliest_fit(start, duration, req.max_rate, latest_start);
         let Some(t0) = candidate else {
-            self.send_reply(
-                &reply,
-                ServerMsg::HoldDenied {
-                    txn,
-                    reason: RejectReason::Saturated,
-                },
-            );
+            self.send_reply(&reply, deny(RejectReason::Saturated));
             return;
         };
         let expires = self.st.now + self.config.hold_timeout;
         let port = PortRef::In(req.route.ingress);
         let (bw, finish) = (req.max_rate, t0 + duration);
-        match self.st.place_hold(txn, port, bw, t0, finish, expires) {
-            Ok(_) => {
-                MetricsRegistry::inc(&self.metrics.holds_placed);
-                // Log before replying: a crash after the reply must not
-                // forget capacity the ingress told its peer is pinned.
-                if !self.log_event(WalRecord::HoldPlace {
-                    txn,
-                    port,
-                    bw,
-                    start: t0,
-                    finish,
-                    expires,
-                }) {
-                    return;
-                }
-                self.send_reply(
-                    &reply,
-                    ServerMsg::HoldOpened {
-                        txn,
-                        bw,
-                        start: t0,
-                        finish,
-                        expires,
-                    },
-                );
-            }
-            Err(_) => {
-                self.send_reply(
-                    &reply,
-                    ServerMsg::HoldDenied {
-                        txn,
-                        reason: RejectReason::Saturated,
-                    },
-                );
-            }
-        }
+        let msg = match self.pin_hold(txn, port, bw, t0, finish, expires) {
+            None => return,
+            Some(true) => ServerMsg::HoldOpened {
+                txn,
+                bw,
+                start: t0,
+                finish,
+                expires,
+            },
+            Some(false) => deny(RejectReason::Saturated),
+        };
+        self.send_reply(&reply, msg);
     }
 
     /// Egress half of a cross-shard admission: pin the window the
@@ -889,29 +794,50 @@ impl EngineLoop {
         }
         let port = PortRef::Out(EgressId(egress));
         let expires = self.st.now + self.config.hold_timeout;
-        match self.st.place_hold(txn, port, bw, start, finish, expires) {
-            Ok(_) => {
-                MetricsRegistry::inc(&self.metrics.holds_placed);
-                if !self.log_event(WalRecord::HoldPlace {
-                    txn,
-                    port,
-                    bw,
-                    start,
-                    finish,
-                    expires,
-                }) {
-                    return;
-                }
-                self.send_reply(&reply, ServerMsg::HoldAck { txn, ok: true });
-            }
-            Err(_) => self.send_reply(&reply, ServerMsg::HoldAck { txn, ok: false }),
+        if let Some(ok) = self.pin_hold(txn, port, bw, start, finish, expires) {
+            self.send_reply(&reply, ServerMsg::HoldAck { txn, ok });
         }
     }
 
-    /// Second phase, success: mark the local hold committed. It stays
-    /// charged on its port for its full window (GC reclaims it when the
-    /// window passes) and becomes exempt from the expiry sweep.
-    fn handle_hold_commit(&mut self, txn: u64, at: f64, reply: ReplySink) {
+    /// Place a two-phase hold and log it before the caller replies: a
+    /// crash after the reply must not forget capacity a peer was told is
+    /// pinned. `Some(fit)` says whether the hold fit; `None` means the log
+    /// write failed and the engine halts unreplied.
+    fn pin_hold(
+        &mut self,
+        txn: u64,
+        port: PortRef,
+        bw: f64,
+        start: f64,
+        finish: f64,
+        expires: f64,
+    ) -> Option<bool> {
+        if self
+            .st
+            .place_hold(txn, port, bw, start, finish, expires)
+            .is_err()
+        {
+            return Some(false);
+        }
+        MetricsRegistry::inc(&self.metrics.holds_placed);
+        let record = WalRecord::HoldPlace {
+            txn,
+            port,
+            bw,
+            start,
+            finish,
+            expires,
+        };
+        self.log_event(record).then_some(true)
+    }
+
+    /// Second phase. On commit the local hold stays charged on its port
+    /// for its full window (GC reclaims it when the window passes) and
+    /// becomes exempt from the expiry sweep; on release it is dropped and
+    /// its pinned capacity freed. Unknown transactions ack `false`: the
+    /// expiry sweep may have won the race, which is not an error, and the
+    /// coordinator reconciles a failed commit as a loss.
+    fn handle_hold_end(&mut self, txn: u64, at: f64, commit: bool, reply: ReplySink) {
         if !(at.is_finite() && at <= self.st.now + self.config.max_horizon) {
             self.send_reply(&reply, ServerMsg::HoldAck { txn, ok: false });
             return;
@@ -920,43 +846,26 @@ impl EngineLoop {
             return;
         }
         if self.st.hold_of(txn).is_none() {
-            // The expiry sweep may have won the race; the coordinator
-            // treats a failed commit as a loss it must reconcile.
             self.send_reply(&reply, ServerMsg::HoldAck { txn, ok: false });
             return;
         }
-        // Log before the in-memory flip: replay must re-commit exactly
-        // the holds the live engine committed.
-        if !self.log_event(WalRecord::HoldCommit { txn }) {
+        // Log before the in-memory change: replay must end exactly the
+        // holds the live engine ended.
+        let record = if commit {
+            WalRecord::HoldCommit { txn }
+        } else {
+            WalRecord::HoldRelease { txn }
+        };
+        if !self.log_event(record) {
             return;
         }
-        let ok = self.st.commit_hold(txn);
+        let (ok, counter) = if commit {
+            (self.st.commit_hold(txn), &self.metrics.holds_committed)
+        } else {
+            (self.st.release_hold(txn), &self.metrics.holds_released)
+        };
         debug_assert!(ok);
-        MetricsRegistry::inc(&self.metrics.holds_committed);
-        self.send_reply(&reply, ServerMsg::HoldAck { txn, ok: true });
-    }
-
-    /// Second phase, failure: drop the local hold and free its pinned
-    /// capacity. Unknown transactions ack `false` — the expiry sweep
-    /// may already have reclaimed the hold, which is not an error.
-    fn handle_hold_release(&mut self, txn: u64, at: f64, reply: ReplySink) {
-        if !(at.is_finite() && at <= self.st.now + self.config.max_horizon) {
-            self.send_reply(&reply, ServerMsg::HoldAck { txn, ok: false });
-            return;
-        }
-        if !self.advance_virtual_clock(at.max(self.st.now)) {
-            return;
-        }
-        if self.st.hold_of(txn).is_none() {
-            self.send_reply(&reply, ServerMsg::HoldAck { txn, ok: false });
-            return;
-        }
-        if !self.log_event(WalRecord::HoldRelease { txn }) {
-            return;
-        }
-        let ok = self.st.release_hold(txn);
-        debug_assert!(ok);
-        MetricsRegistry::inc(&self.metrics.holds_released);
+        MetricsRegistry::inc(counter);
         self.send_reply(&reply, ServerMsg::HoldAck { txn, ok: true });
     }
 
@@ -1013,23 +922,13 @@ impl EngineLoop {
                 q.on_cancel(id);
             }
             true
-        } else if let Some(entry) = self.pending.get_mut(&id) {
+        } else if let Some(tombstone) = self.tombstone_of(id) {
             // Still undecided: tombstone it. The deciding round frees any
             // reservation it would get and suppresses the decision reply.
             // Only the first cancel takes effect; repeats report
             // `freed: false` and leave the metric alone.
-            let first = !entry.cancelled;
+            let first = !std::mem::replace(tombstone, true);
             if first {
-                entry.cancelled = true;
-                MetricsRegistry::inc(&self.metrics.cancelled);
-            }
-            first
-        } else if let Some(entry) = self.pending_flex.iter_mut().find(|p| p.id == id) {
-            // A malleable submission awaiting its round: tombstone it,
-            // exactly like a rigid pending cancel.
-            let first = !entry.cancelled;
-            if first {
-                entry.cancelled = true;
                 MetricsRegistry::inc(&self.metrics.cancelled);
             }
             first
@@ -1126,37 +1025,7 @@ impl EngineLoop {
         MetricsRegistry::add(&self.metrics.holds_released, sweep.holds_released);
         debug_assert!(self.round_log.is_empty() && self.round_replies.is_empty());
 
-        // Book every accept of the round through the ledger's batched
-        // entry point: one query-index rebuild per touched port per round
-        // instead of one per reservation. Results are consumed in decision
-        // order, so the outcome is identical to sequential `reserve` calls.
-        let decisions = self.sched.on_tick(&self.st.ledger, t);
-        let mut in_batch = Vec::with_capacity(decisions.len());
-        let mut batch = Vec::new();
-        for &(rid, d) in &decisions {
-            let added = if let Decision::Accept { bw, start, finish } = d {
-                match self.pending.get(&rid.0) {
-                    Some(entry) => {
-                        batch.push(ReserveRequest {
-                            route: entry.req.route,
-                            start,
-                            end: finish,
-                            bw,
-                        });
-                        true
-                    }
-                    None => false,
-                }
-            } else {
-                false
-            };
-            in_batch.push(added);
-        }
-        let mut results = self.st.ledger.reserve_all(&batch).into_iter();
-        for ((rid, decision), booked) in decisions.into_iter().zip(in_batch) {
-            let prebooked = if booked { results.next() } else { None };
-            self.apply_decision(rid.0, decision, t, prebooked);
-        }
+        self.rigid_round(t);
         // Malleable work runs strictly after the round's rigid decisions,
         // against the post-decision ledger: amends first (ascending
         // request id), then new admissions in arrival order. On a
@@ -1184,6 +1053,94 @@ impl EngineLoop {
             .breakpoints_live
             .store(self.st.ledger.breakpoint_count() as u64, Ordering::Relaxed);
         self.qos_round(t);
+    }
+
+    /// The round's rigid pass: the scheduler's batch, in its order,
+    /// opens the round record, and one [`EngineState::apply_decisions`]
+    /// call books and records it as replay will. Replies, metrics and the
+    /// QoS overlay then follow each decision's outcome.
+    fn rigid_round(&mut self, t: f64) {
+        let mut entries = Vec::new();
+        for (rid, decision) in self.sched.on_tick(&self.st.ledger, t) {
+            let id = rid.0;
+            let Some(entry) = self.pending.remove(&id) else {
+                continue;
+            };
+            self.metrics
+                .decision_latency
+                .record(entry.submitted_at.elapsed());
+            let route = entry.req.route;
+            self.round_log.push(match decision {
+                Decision::Accept { bw, start, finish } => RoundDecision::Accept {
+                    id,
+                    ingress: route.ingress.0,
+                    egress: route.egress.0,
+                    bw,
+                    start,
+                    finish,
+                    cancelled: entry.cancelled,
+                },
+                // `WindowScheduler::on_tick` emits only accepts and rejects.
+                _ => RoundDecision::Reject { id },
+            });
+            entries.push(entry);
+        }
+        let outcomes = self.st.apply_decisions(&self.round_log);
+        for (i, (entry, outcome)) in entries.iter().zip(outcomes).enumerate() {
+            let id = entry.req.id.0;
+            let reason = match self.round_log[i] {
+                // Tombstoned: booked and freed, and never answered.
+                RoundDecision::Accept {
+                    cancelled: true, ..
+                } if outcome.is_ok() => continue,
+                RoundDecision::Accept {
+                    bw, start, finish, ..
+                } if outcome.is_ok() => {
+                    self.metrics.record_accept(entry.class);
+                    if let Some(q) = self.qos.as_mut() {
+                        q.on_accept(AcceptedTransfer {
+                            id,
+                            ingress: entry.req.route.ingress.0 as usize,
+                            egress: entry.req.route.egress.0 as usize,
+                            class: entry.class,
+                            bw,
+                            start,
+                            finish,
+                            max_rate: entry.req.max_rate,
+                            volume: entry.req.volume,
+                        });
+                    }
+                    let msg = ServerMsg::Accepted {
+                        id,
+                        bw,
+                        start,
+                        finish,
+                    };
+                    self.round_replies.push((entry.reply.clone(), msg));
+                    continue;
+                }
+                // The scheduler's scalar view disagreed with the profile at
+                // booking time: log and answer a saturation rejection in
+                // its place.
+                RoundDecision::Accept { .. } => {
+                    self.round_log[i] = RoundDecision::Reject { id };
+                    RejectReason::Saturated
+                }
+                _ if entry.req.required_rate_from(t).is_none() => RejectReason::DeadlineUnreachable,
+                _ => RejectReason::Saturated,
+            };
+            self.reject(entry, reason, t);
+        }
+    }
+
+    /// Apply one decision of the round in flight through
+    /// [`EngineState::apply_decisions`] and log it if its booking held.
+    fn decide(&mut self, d: RoundDecision) -> bool {
+        let held = self.st.apply_decisions(std::slice::from_ref(&d))[0].is_ok();
+        if held {
+            self.round_log.push(d);
+        }
+        held
     }
 
     /// The round's malleable pass: apply queued amends in ascending
@@ -1262,42 +1219,33 @@ impl EngineLoop {
             }
         }
         full.extend(future);
-        match self.st.ledger.amend_segments(rid, &full) {
-            Ok(()) => {
-                self.round_log.push(RoundDecision::Amend {
-                    id: a.id,
-                    segments: full.clone(),
-                });
-                MetricsRegistry::inc(&self.metrics.amends_granted);
-                // The old guarantee is gone; the overlay must not keep
-                // boosting against it. The amended plan is not
-                // re-registered — its rates were just renegotiated, so
-                // there is no leftover claim to resell yet.
-                if let Some(q) = self.qos.as_mut() {
-                    q.on_cancel(a.id);
-                }
-                let segments = full.iter().map(|s| (s.start, s.end, s.bw)).collect();
-                self.round_replies.push((
-                    a.reply.clone(),
-                    ServerMsg::AcceptedSegments { id: a.id, segments },
-                ));
-            }
+        let segments = full.iter().map(|s| (s.start, s.end, s.bw)).collect();
+        if !self.decide(RoundDecision::Amend {
+            id: a.id,
+            segments: full,
+        }) {
             // `water_fill` verified the plan against the exact residuals
-            // the swap allocates into, so this arm is defensive only.
-            Err(_) => self.reject_amend(&a, RejectReason::Saturated, None),
+            // the swap allocates into, so this is defensive only.
+            self.reject_amend(&a, RejectReason::Saturated, None);
+            return;
         }
+        MetricsRegistry::inc(&self.metrics.amends_granted);
+        // The old guarantee is gone; the overlay must not keep boosting
+        // against it. The amended plan is not re-registered — its rates
+        // were just renegotiated, so there is no leftover claim to resell
+        // yet.
+        if let Some(q) = self.qos.as_mut() {
+            q.on_cancel(a.id);
+        }
+        self.round_replies.push((
+            a.reply.clone(),
+            ServerMsg::AcceptedSegments { id: a.id, segments },
+        ));
     }
 
     fn reject_amend(&mut self, a: &AmendPending, reason: RejectReason, retry_after: Option<f64>) {
         MetricsRegistry::inc(&self.metrics.amends_rejected);
-        self.round_replies.push((
-            a.reply.clone(),
-            ServerMsg::Rejected {
-                id: a.id,
-                reason,
-                retry_after,
-            },
-        ));
+        self.park_rejected(&a.reply, a.id, reason, retry_after);
     }
 
     /// Decide one pending malleable admission at round time `t`.
@@ -1324,72 +1272,57 @@ impl EngineLoop {
             self.reject_flex(&p, RejectReason::Saturated, hint);
             return;
         };
-        match self.st.ledger.reserve_segments(spec.route, &plan) {
-            Ok(rid) => {
-                self.round_log.push(RoundDecision::AcceptSegments {
-                    id: p.id,
-                    ingress: spec.route.ingress.0,
-                    egress: spec.route.egress.0,
-                    segments: plan.clone(),
-                    cancelled: p.cancelled,
-                });
-                if p.cancelled {
-                    // Cancelled while pending: book then free, keeping
-                    // reservation-id allocation in sync with replay.
-                    let _ = self.st.ledger.cancel_segments(rid);
-                    self.st.record_state(p.id, ReqState::Cancelled);
-                    return;
-                }
-                self.metrics.record_accept(p.class);
-                MetricsRegistry::inc(&self.metrics.accepted_malleable);
-                // Register the stepwise guarantee with the overlay at its
-                // peak rate: boosts stay bounded by `max_rate`, and the
-                // per-segment guarantees the plan carries are what the
-                // resale pass redistributes around.
-                if let Some(q) = self.qos.as_mut() {
-                    let (start, end, peak, volume) = plan_shape(&plan);
-                    q.on_accept(AcceptedTransfer {
-                        id: p.id,
-                        ingress: spec.route.ingress.0 as usize,
-                        egress: spec.route.egress.0 as usize,
-                        class: p.class,
-                        bw: peak,
-                        start,
-                        finish: end,
-                        max_rate: spec.max_rate,
-                        volume,
-                    });
-                }
-                self.st.note_accept(p.id, rid);
-                self.st.record_state(p.id, ReqState::Accepted);
-                let segments = plan.iter().map(|s| (s.start, s.end, s.bw)).collect();
-                self.round_replies.push((
-                    p.reply.clone(),
-                    ServerMsg::AcceptedSegments { id: p.id, segments },
-                ));
-            }
+        if !self.decide(RoundDecision::AcceptSegments {
+            id: p.id,
+            ingress: spec.route.ingress.0,
+            egress: spec.route.egress.0,
+            segments: plan.clone(),
+            cancelled: p.cancelled,
+        }) {
             // `water_fill` fed the live ledger, so the booking cannot
             // fail; keep the daemon alive anyway.
-            Err(_) => self.reject_flex(&p, RejectReason::Saturated, None),
+            self.reject_flex(&p, RejectReason::Saturated, None);
+            return;
         }
+        // A tombstoned grant was booked and freed; it gets no reply.
+        if p.cancelled {
+            return;
+        }
+        self.metrics.record_accept(p.class);
+        MetricsRegistry::inc(&self.metrics.accepted_malleable);
+        // Register the stepwise guarantee with the overlay at its peak
+        // rate: boosts stay bounded by `max_rate`, and the per-segment
+        // guarantees the plan carries are what the resale pass
+        // redistributes around.
+        if let Some(q) = self.qos.as_mut() {
+            let (start, end, peak, volume) = plan_shape(&plan);
+            q.on_accept(AcceptedTransfer {
+                id: p.id,
+                ingress: spec.route.ingress.0 as usize,
+                egress: spec.route.egress.0 as usize,
+                class: p.class,
+                bw: peak,
+                start,
+                finish: end,
+                max_rate: spec.max_rate,
+                volume,
+            });
+        }
+        let segments = plan.iter().map(|s| (s.start, s.end, s.bw)).collect();
+        self.round_replies.push((
+            p.reply.clone(),
+            ServerMsg::AcceptedSegments { id: p.id, segments },
+        ));
     }
 
     fn reject_flex(&mut self, p: &FlexPending, reason: RejectReason, retry_after: Option<f64>) {
         MetricsRegistry::inc(&self.metrics.rejected);
         MetricsRegistry::inc(&self.metrics.rejected_malleable);
-        self.st.record_state(p.id, ReqState::Rejected);
-        self.round_log.push(RoundDecision::Reject { id: p.id });
+        self.decide(RoundDecision::Reject { id: p.id });
         if p.cancelled {
             return;
         }
-        self.round_replies.push((
-            p.reply.clone(),
-            ServerMsg::Rejected {
-                id: p.id,
-                reason,
-                retry_after,
-            },
-        ));
+        self.park_rejected(&p.reply, p.id, reason, retry_after);
     }
 
     /// Advance the GC watermark behind the round that just committed,
@@ -1506,124 +1439,10 @@ impl EngineLoop {
         }
     }
 
-    /// Apply one scheduler decision. For accepts decided in a batched
-    /// round, `prebooked` carries the reservation outcome from
-    /// [`CapacityLedger::reserve_all`]; otherwise the reservation is made
-    /// here.
-    fn apply_decision(
-        &mut self,
-        id: u64,
-        decision: Decision,
-        t: f64,
-        prebooked: Option<NetResult<ReservationId>>,
-    ) {
-        let Some(entry) = self.pending.remove(&id) else {
-            // Scheduler answered an id we no longer track. If the batch
-            // already booked capacity for it (e.g. a duplicate decision),
-            // free it again.
-            if let Some(Ok(rid)) = prebooked {
-                let _ = self.st.ledger.cancel(rid);
-            }
-            return;
-        };
-        self.metrics
-            .decision_latency
-            .record(entry.submitted_at.elapsed());
-        match decision {
-            Decision::Accept { bw, start, finish } => {
-                let outcome = match prebooked {
-                    Some(r) => r,
-                    None => self.st.ledger.reserve(entry.req.route, start, finish, bw),
-                };
-                match outcome {
-                    Ok(rid) => {
-                        self.round_log.push(RoundDecision::Accept {
-                            id,
-                            ingress: entry.req.route.ingress.0,
-                            egress: entry.req.route.egress.0,
-                            bw,
-                            start,
-                            finish,
-                            cancelled: entry.cancelled,
-                        });
-                        if entry.cancelled {
-                            // Cancelled while pending: free immediately.
-                            let _ = self.st.ledger.cancel(rid);
-                            self.st.record_state(id, ReqState::Cancelled);
-                            return;
-                        }
-                        self.metrics.record_accept(entry.class);
-                        if let Some(q) = self.qos.as_mut() {
-                            q.on_accept(AcceptedTransfer {
-                                id,
-                                ingress: entry.req.route.ingress.0 as usize,
-                                egress: entry.req.route.egress.0 as usize,
-                                class: entry.class,
-                                bw,
-                                start,
-                                finish,
-                                max_rate: entry.req.max_rate,
-                                volume: entry.req.volume,
-                            });
-                        }
-                        self.st.note_accept(id, rid);
-                        self.st.record_state(id, ReqState::Accepted);
-                        self.round_replies.push((
-                            entry.reply.clone(),
-                            ServerMsg::Accepted {
-                                id,
-                                bw,
-                                start,
-                                finish,
-                            },
-                        ));
-                    }
-                    Err(_) => {
-                        // The scheduler's scalar view disagreed with the
-                        // profile at reservation time; surface as a
-                        // saturation rejection rather than crashing.
-                        self.reject(id, &entry, RejectReason::Saturated, t);
-                    }
-                }
-            }
-            Decision::Reject => {
-                let reason = if entry.req.required_rate_from(t).is_none() {
-                    RejectReason::DeadlineUnreachable
-                } else {
-                    RejectReason::Saturated
-                };
-                self.reject(id, &entry, reason, t);
-            }
-            Decision::Retry { at } => {
-                // WindowScheduler never emits this; map it to a rejection
-                // carrying the scheduler's own retry hint.
-                let entry_finish = entry.req.finish();
-                self.st.record_state(id, ReqState::Rejected);
-                MetricsRegistry::inc(&self.metrics.rejected);
-                self.round_log.push(RoundDecision::Reject { id });
-                if !entry.cancelled {
-                    let retry_after = (at < entry_finish).then_some(at);
-                    self.round_replies.push((
-                        entry.reply.clone(),
-                        ServerMsg::Rejected {
-                            id,
-                            reason: RejectReason::Saturated,
-                            retry_after,
-                        },
-                    ));
-                }
-            }
-            Decision::Defer => {
-                // Still undecided: put the entry back.
-                self.pending.insert(id, entry);
-            }
-        }
-    }
-
-    fn reject(&mut self, id: u64, entry: &PendingEntry, reason: RejectReason, t: f64) {
+    /// Count and answer a rigid rejection; `apply_decisions` already
+    /// recorded it.
+    fn reject(&mut self, entry: &PendingEntry, reason: RejectReason, t: f64) {
         MetricsRegistry::inc(&self.metrics.rejected);
-        self.st.record_state(id, ReqState::Rejected);
-        self.round_log.push(RoundDecision::Reject { id });
         if entry.cancelled {
             return;
         }
@@ -1631,14 +1450,23 @@ impl EngineLoop {
             RejectReason::Saturated => self.retry_hint(&entry.req, t),
             _ => None,
         };
-        self.round_replies.push((
-            entry.reply.clone(),
-            ServerMsg::Rejected {
-                id,
-                reason,
-                retry_after,
-            },
-        ));
+        self.park_rejected(&entry.reply, entry.req.id.0, reason, retry_after);
+    }
+
+    /// Hold a rejection back until the round record is durable.
+    fn park_rejected(
+        &mut self,
+        reply: &ReplySink,
+        id: u64,
+        reason: RejectReason,
+        retry_after: Option<f64>,
+    ) {
+        let msg = ServerMsg::Rejected {
+            id,
+            reason,
+            retry_after,
+        };
+        self.round_replies.push((reply.clone(), msg));
     }
 
     /// Deliver a reply without ever blocking the engine. Reply channels

@@ -7,6 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::protocol::{ServiceClass, PROTOCOL_VERSION};
+use crate::state::ReplayTally;
 
 /// Which replication role this daemon is playing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -447,6 +448,22 @@ impl MetricsRegistry {
         if let Some(d) = fsync {
             self.fsync.record(d);
         }
+    }
+
+    /// Count what a recovery replay re-applied. Replay cannot tell an
+    /// explicit hold release from an expiry sweep — both are
+    /// `HoldRelease` records — so recovered ends land in
+    /// `holds_released`.
+    pub fn record_replay(&self, tally: &ReplayTally) {
+        Self::add(&self.accepted, tally.accepted);
+        Self::add(&self.rejected, tally.rejected);
+        Self::add(&self.cancelled, tally.cancelled);
+        Self::add(&self.refused_early, tally.refused_early);
+        Self::add(&self.gc_reclaimed, tally.gc_reclaimed);
+        Self::add(&self.gc_truncated_bps, tally.gc_truncated_bps);
+        Self::add(&self.holds_placed, tally.holds_placed);
+        Self::add(&self.holds_committed, tally.holds_committed);
+        Self::add(&self.holds_released, tally.holds_released);
     }
 
     /// Set the replication role reported by `Stats`.

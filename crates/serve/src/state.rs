@@ -2,12 +2,13 @@
 //!
 //! [`EngineState`] is everything an admission engine must carry across a
 //! crash: the capacity ledger, the virtual clock, and the decided-request
-//! maps. It owns the snapshot restore and WAL replay paths, so every
-//! component that rebuilds engine state from a log — the engine's own
-//! startup recovery, the replication shipper's beacon mirror, and the
-//! follower's hot standby — walks the exact same code and lands on the
-//! exact same bytes. Divergence between those consumers would be a
-//! correctness bug; sharing the type makes it a compile-time non-issue.
+//! maps. It owns a round's state transition
+//! ([`EngineState::apply_decisions`]) as well as the snapshot restore and
+//! WAL replay paths built on it, so the live engine and every component
+//! that rebuilds engine state from a log — the engine's own startup
+//! recovery, the replication shipper's beacon mirror, and the follower's
+//! hot standby — walk the exact same code and land on the exact same
+//! bytes.
 //!
 //! The struct is deliberately metrics-free: live metrics belong to the
 //! engine loop, while replay reports its counts through [`ReplayTally`]
@@ -16,12 +17,12 @@
 use std::collections::{BTreeMap, HashMap};
 
 use gridband_net::{
-    CapacityLedger, HoldId, NetResult, PortHold, PortRef, ReleaseRequest, ReservationId, Route,
-    Topology,
+    CapacityLedger, HoldId, NetError, NetResult, PortHold, PortRef, ReleaseRequest, ReservationId,
+    ReserveRequest, Route, Topology,
 };
 use gridband_store::{
-    EngineSnapshot, HoldState, RequestOutcome, RoundDecision, StoreError, StoreResult, WalRecord,
-    SNAPSHOT_VERSION,
+    snap_name, wal_name, EngineSnapshot, HoldState, RequestOutcome, RoundDecision, StoreError,
+    StoreResult, WalRecord, SNAPSHOT_VERSION,
 };
 
 use crate::history::OutcomeHistory;
@@ -140,7 +141,7 @@ impl EngineState {
 
     /// Restore a decoded snapshot verbatim. `file` names the snapshot
     /// file for error attribution.
-    pub fn restore(&mut self, snap: EngineSnapshot, file: &str) -> StoreResult<()> {
+    fn restore(&mut self, snap: EngineSnapshot, file: &str) -> StoreResult<()> {
         self.ledger
             .restore_state(snap.ledger)
             .map_err(|e| StoreError::corrupt(file, 0, format!("ledger state rejected: {e}")))?;
@@ -183,11 +184,39 @@ impl EngineState {
         Ok(())
     }
 
-    /// Re-apply one logged record. Replay mirrors the live engine paths
-    /// exactly — same GC rule, same sequential reservation order — so the
-    /// rebuilt ledger is bit-identical to the one that wrote the log
-    /// (batched and sequential booking are equivalent by `reserve_all`'s
-    /// contract). `file`/`offset` attribute corruption errors.
+    /// The state a log describes: the snapshot payload opening store
+    /// generation `gen`, if there is one, then the `(offset, payload)`
+    /// records of `wal-<gen>` in order. Engine recovery, the follower and
+    /// the shipper's beacon mirror all build their state here.
+    pub fn from_log(
+        topology: Topology,
+        step: f64,
+        history_capacity: usize,
+        gen: u64,
+        snapshot: Option<&[u8]>,
+        records: &[(u64, Vec<u8>)],
+    ) -> StoreResult<(Self, ReplayTally)> {
+        let mut st = Self::new(topology, step, history_capacity);
+        if let Some(payload) = snapshot {
+            let file = snap_name(gen);
+            st.restore(EngineSnapshot::decode(&file, payload)?, &file)?;
+        }
+        let file = wal_name(gen);
+        let mut tally = ReplayTally::default();
+        for (offset, payload) in records {
+            let record = WalRecord::decode(&file, *offset, payload)?;
+            st.apply(record, &file, *offset, &mut tally)?;
+        }
+        Ok((st, tally))
+    }
+
+    /// Re-apply one logged record. A `Round` runs what the live round
+    /// ran, in its order: [`begin_round`](Self::begin_round),
+    /// [`gc_expired`](Self::gc_expired), then
+    /// [`apply_decisions`](Self::apply_decisions) on the logged decisions,
+    /// so the rebuilt state is the live engine's to the bit. A decision
+    /// that no longer applies is corruption. `file`/`offset` attribute
+    /// corruption errors.
     pub fn apply(
         &mut self,
         record: WalRecord,
@@ -202,88 +231,27 @@ impl EngineState {
                 let sweep = self.gc_expired(t);
                 tally.gc_reclaimed += sweep.reclaimed;
                 tally.holds_released += sweep.holds_released;
-                for d in decisions {
+                let outcomes = self.apply_decisions(&decisions);
+                for (i, (d, outcome)) in decisions.iter().zip(outcomes).enumerate() {
+                    outcome.map_err(|e| {
+                        StoreError::corrupt(
+                            file,
+                            offset,
+                            format!("logged round decision {i} no longer applies: {e}"),
+                        )
+                    })?;
                     match d {
-                        RoundDecision::Accept {
-                            id,
-                            ingress,
-                            egress,
-                            bw,
-                            start,
-                            finish,
-                            cancelled,
-                        } => {
-                            let rid = self
-                                .ledger
-                                .reserve(Route::new(ingress, egress), start, finish, bw)
-                                .map_err(|e| {
-                                    StoreError::corrupt(
-                                        file,
-                                        offset,
-                                        format!("logged acceptance no longer fits: {e}"),
-                                    )
-                                })?;
-                            if cancelled {
-                                // Tombstoned acceptance: book then free, so
-                                // reservation-id allocation stays in sync.
-                                let _ = self.ledger.cancel(rid);
-                                tally.cancelled += 1;
-                                self.record_state(id, ReqState::Cancelled);
-                            } else {
-                                tally.accepted += 1;
-                                self.note_accept(id, rid);
-                                self.record_state(id, ReqState::Accepted);
-                            }
+                        RoundDecision::Accept { cancelled, .. }
+                        | RoundDecision::AcceptSegments { cancelled, .. }
+                            if *cancelled =>
+                        {
+                            tally.cancelled += 1
                         }
-                        RoundDecision::AcceptSegments {
-                            id,
-                            ingress,
-                            egress,
-                            segments,
-                            cancelled,
-                        } => {
-                            let rid = self
-                                .ledger
-                                .reserve_segments(Route::new(ingress, egress), &segments)
-                                .map_err(|e| {
-                                    StoreError::corrupt(
-                                        file,
-                                        offset,
-                                        format!("logged segmented acceptance no longer fits: {e}"),
-                                    )
-                                })?;
-                            if cancelled {
-                                // Tombstoned acceptance: book then free, so
-                                // reservation-id allocation stays in sync.
-                                let _ = self.ledger.cancel_segments(rid);
-                                tally.cancelled += 1;
-                                self.record_state(id, ReqState::Cancelled);
-                            } else {
-                                tally.accepted += 1;
-                                self.note_accept(id, rid);
-                                self.record_state(id, ReqState::Accepted);
-                            }
+                        RoundDecision::Accept { .. } | RoundDecision::AcceptSegments { .. } => {
+                            tally.accepted += 1
                         }
-                        RoundDecision::Amend { id, segments } => {
-                            let rid = self.accepted_res.get(&id).copied().ok_or_else(|| {
-                                StoreError::corrupt(
-                                    file,
-                                    offset,
-                                    format!("logged amend of unknown request #{id}"),
-                                )
-                            })?;
-                            self.ledger.amend_segments(rid, &segments).map_err(|e| {
-                                StoreError::corrupt(
-                                    file,
-                                    offset,
-                                    format!("logged amend no longer fits: {e}"),
-                                )
-                            })?;
-                        }
-                        RoundDecision::Reject { id } => {
-                            tally.rejected += 1;
-                            self.record_state(id, ReqState::Rejected);
-                        }
+                        RoundDecision::Reject { .. } => tally.rejected += 1,
+                        RoundDecision::Amend { .. } => {}
                     }
                 }
             }
@@ -407,6 +375,94 @@ impl EngineState {
         self.now = t;
         self.next_tick = t + self.step;
         self.rounds += 1;
+    }
+
+    /// Apply a round's decisions in record order: the one state
+    /// transition of a round, run by the live engine and by every replay.
+    ///
+    /// Every rigid `Accept` is booked first, as one
+    /// [`CapacityLedger::reserve_all`] batch. Then the decisions are
+    /// walked in record order: each records its state, a tombstoned
+    /// accept (one cancelled while it waited) is freed at its place in
+    /// the walk, and `AcceptSegments`, `Amend` and `Reject` apply one at a
+    /// time. A round record lists every rigid accept ahead of every
+    /// malleable decision, so applying a record whole or in consecutive
+    /// slices makes the same ledger calls in the same order.
+    ///
+    /// Returns each decision's booking outcome, in order. A failed
+    /// booking books nothing and records no acceptance; its id is
+    /// recorded `Rejected` in its place, the decision the live engine
+    /// logs for it. A failed amend changes nothing.
+    pub fn apply_decisions(&mut self, decisions: &[RoundDecision]) -> Vec<NetResult<()>> {
+        let batch: Vec<ReserveRequest> = decisions
+            .iter()
+            .filter_map(|d| match *d {
+                RoundDecision::Accept {
+                    ingress,
+                    egress,
+                    bw,
+                    start,
+                    finish,
+                    ..
+                } => Some(ReserveRequest {
+                    route: Route::new(ingress, egress),
+                    start,
+                    end: finish,
+                    bw,
+                }),
+                _ => None,
+            })
+            .collect();
+        let mut booked = self.ledger.reserve_all(&batch).into_iter();
+        decisions
+            .iter()
+            .map(|d| {
+                let (id, booking, cancelled) = match d {
+                    RoundDecision::Accept { id, cancelled, .. } => {
+                        let rid = booked.next().expect("one booking per rigid accept");
+                        (*id, Some(rid), *cancelled)
+                    }
+                    RoundDecision::AcceptSegments {
+                        id,
+                        ingress,
+                        egress,
+                        segments,
+                        cancelled,
+                    } => {
+                        let route = Route::new(*ingress, *egress);
+                        let rid = self.ledger.reserve_segments(route, segments);
+                        (*id, Some(rid), *cancelled)
+                    }
+                    RoundDecision::Amend { id, segments } => {
+                        let rid = self.accepted_res.get(id).copied().ok_or_else(|| {
+                            NetError::InvalidArgument(format!("amend of unknown request #{id}"))
+                        })?;
+                        return self.ledger.amend_segments(rid, segments);
+                    }
+                    RoundDecision::Reject { id } => (*id, None, false),
+                };
+                let state = match booking {
+                    None => ReqState::Rejected,
+                    Some(Err(e)) => {
+                        self.record_state(id, ReqState::Rejected);
+                        return Err(e);
+                    }
+                    // Booked before it is freed, so reservation ids stay
+                    // in step with the round that logged it.
+                    Some(Ok(rid)) if cancelled => {
+                        let _ = self.ledger.cancel(rid).is_ok()
+                            || self.ledger.cancel_segments(rid).is_ok();
+                        ReqState::Cancelled
+                    }
+                    Some(Ok(rid)) => {
+                        self.note_accept(id, rid);
+                        ReqState::Accepted
+                    }
+                };
+                self.record_state(id, state);
+                Ok(())
+            })
+            .collect()
     }
 
     /// Cancel every reservation whose interval ended at or before `t`,
@@ -684,6 +740,62 @@ mod tests {
         assert_eq!(b.next_tick, 20.0);
         assert_eq!(b.rounds, 1);
         assert!(b.knows(1) && b.knows(2) && !b.knows(3));
+    }
+
+    #[test]
+    fn apply_decisions_whole_or_in_slices_lands_on_the_same_bits() {
+        let accept = |id, bw, finish, cancelled| RoundDecision::Accept {
+            id,
+            ingress: 0,
+            egress: 0,
+            bw,
+            start: 10.0,
+            finish,
+            cancelled,
+        };
+        let decisions = vec![
+            accept(1, 0.1, 20.0, true),
+            accept(2, 0.2, 30.0, false),
+            accept(3, 500.0, 30.0, false),
+            RoundDecision::Reject { id: 4 },
+            RoundDecision::AcceptSegments {
+                id: 5,
+                ingress: 0,
+                egress: 1,
+                segments: vec![gridband_net::SegSpan {
+                    start: 10.0,
+                    end: 15.0,
+                    bw: 0.3,
+                }],
+                cancelled: false,
+            },
+        ];
+        let mut whole = state();
+        let outcomes = whole.apply_decisions(&decisions);
+        let failed: Vec<bool> = outcomes.iter().map(|r| r.is_err()).collect();
+        assert_eq!(failed, [false, false, true, false, false]);
+        // The live engine applies the rigid part in one call and each
+        // malleable decision in its own; replay applies the record whole.
+        let mut sliced = state();
+        sliced.apply_decisions(&decisions[..4]);
+        sliced.apply_decisions(&decisions[4..]);
+        assert_eq!(sliced.export(), whole.export());
+
+        // The tombstoned accept is freed after the batch booked its
+        // neighbour, so the port holds (0.1 + 0.2) - 0.1, not 0.2.
+        let port = whole.ledger.egress_profile(gridband_net::EgressId(0));
+        assert_eq!(port.alloc_at(10.0), 0.1 + 0.2 - 0.1);
+        assert_ne!(port.alloc_at(10.0), 0.2);
+        let states: Vec<_> = (1..=5).map(|id| whole.state_of(id)).collect();
+        use ReqState::*;
+        assert_eq!(
+            states,
+            [Cancelled, Accepted, Rejected, Rejected, Accepted].map(Some)
+        );
+        assert!(
+            whole.alloc_of(3).is_none(),
+            "a failed booking books nothing"
+        );
     }
 
     #[test]

@@ -270,7 +270,7 @@ fn run_uninterrupted(
     gc_horizon: Option<f64>,
 ) -> Outcome {
     let dir = Arc::new(MemDir::new());
-    let engine = Engine::spawn(config(dir, fsync, snapshot_every, gc_horizon));
+    let engine = Engine::spawn(config(dir.clone(), fsync, snapshot_every, gc_horizon));
     let mut session = Session::default();
     for (idx, event) in events.iter().enumerate() {
         assert!(session.send(&engine, idx, event), "engine died mid-run");
@@ -280,7 +280,16 @@ fn run_uninterrupted(
     let mut amend_replies = BTreeMap::new();
     session.harvest(&mut decisions, &mut Vec::new(), &mut amend_replies);
     let snap = export(&engine);
-    engine.shutdown();
+    engine.kill();
+    // Live ≡ replay: the engine's own store, recovered, is the live image.
+    let engine = Engine::try_spawn(config(dir, fsync, snapshot_every, gc_horizon))
+        .expect("the engine's own store must recover");
+    assert_eq!(
+        export(&engine),
+        snap,
+        "replay diverges from the live engine"
+    );
+    engine.kill();
     (decisions, amend_replies, snap)
 }
 

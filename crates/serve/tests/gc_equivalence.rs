@@ -172,7 +172,7 @@ fn run_uninterrupted(
     gc_horizon: Option<f64>,
 ) -> (BTreeMap<u64, ServerMsg>, EngineSnapshot) {
     let dir = Arc::new(MemDir::new());
-    let engine = Engine::spawn(config(dir, fsync, snapshot_every, gc_horizon));
+    let engine = Engine::spawn(config(dir.clone(), fsync, snapshot_every, gc_horizon));
     let mut session = Session::default();
     for (idx, event) in events.iter().enumerate() {
         assert!(session.send(&engine, idx, event), "engine died mid-run");
@@ -181,7 +181,16 @@ fn run_uninterrupted(
     let mut decisions = BTreeMap::new();
     session.harvest(&mut decisions, &mut Vec::new());
     let snap = export(&engine);
-    engine.shutdown();
+    engine.kill();
+    // Live ≡ replay: the engine's own store, recovered, is the live image.
+    let engine = Engine::try_spawn(config(dir, fsync, snapshot_every, gc_horizon))
+        .expect("the engine's own store must recover");
+    assert_eq!(
+        export(&engine),
+        snap,
+        "replay diverges from the live engine"
+    );
+    engine.kill();
     (decisions, snap)
 }
 

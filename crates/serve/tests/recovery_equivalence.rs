@@ -78,6 +78,36 @@ fn workload(seed: u64) -> Vec<Event> {
     events
 }
 
+/// Dense arrivals — about five per round — where a third of the
+/// submissions are cancelled right away. The cancel reaches a request
+/// that is still waiting for its round, so it tombstones it: the round
+/// that decides it books and frees it beside the round's other accepts.
+fn racing_workload(seed: u64) -> Vec<Event> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut events = Vec::new();
+    let mut clock = 0.0f64;
+    for id in 1..=EVENTS as u64 {
+        clock += rng.gen_range(0.5..3.5);
+        let volume = rng.gen_range(50.0..400.0);
+        let max_rate = rng.gen_range(10.0..45.0);
+        events.push(Event::Submit(SubmitReq {
+            id,
+            ingress: rng.gen_range(0u32..3),
+            egress: rng.gen_range(0u32..3),
+            volume,
+            max_rate,
+            start: Some(clock),
+            deadline: Some(clock + rng.gen_range(1.5..3.5) * volume / max_rate),
+            class: Default::default(),
+            malleable: None,
+        }));
+        if rng.gen_bool(0.33) {
+            events.push(Event::Cancel { id });
+        }
+    }
+    events
+}
+
 fn config(dir: Arc<MemDir>, fsync: FsyncPolicy, snapshot_every: u64) -> EngineConfig {
     let mut cfg = EngineConfig::new(Topology::uniform(3, 3, 100.0));
     cfg.step = STEP;
@@ -384,5 +414,81 @@ fn every_wal_prefix_recovers_without_phantom_capacity() {
             }
         }
         engine.kill();
+    }
+}
+
+/// Run `events` uninterrupted on a fresh `MemDir`, then recover a second
+/// engine from the same directory — no crash, nothing lost — and return
+/// both exports: the live image, and the image the engine's own WAL
+/// replays to.
+fn live_and_replayed(
+    config: impl Fn(Arc<MemDir>) -> EngineConfig,
+    events: &[Event],
+) -> (EngineSnapshot, EngineSnapshot) {
+    let dir = Arc::new(MemDir::new());
+    let engine = Engine::spawn(config(dir.clone()));
+    let mut session = Session::default();
+    for (idx, event) in events.iter().enumerate() {
+        assert!(session.send(&engine, idx, event), "engine died mid-run");
+    }
+    drain(&engine);
+    let live = export(&engine);
+    engine.kill();
+    let engine = Engine::try_spawn(config(dir)).expect("the engine's own store must recover");
+    let replayed = export(&engine);
+    engine.kill();
+    (live, replayed)
+}
+
+#[test]
+fn live_state_equals_its_own_wal_replay() {
+    // Two submissions decided in one round; the first is cancelled while
+    // it waits. The round books A and B together and then frees A, so
+    // port 0 carries (0.1 + 0.2) - 0.1 on [10, 20), not 0.2. Replay must
+    // walk the same float operations.
+    let submit = |id, volume, max_rate| {
+        Event::Submit(SubmitReq {
+            id,
+            ingress: 0,
+            egress: 0,
+            volume,
+            max_rate,
+            start: Some(1.0),
+            deadline: None,
+            class: Default::default(),
+            malleable: None,
+        })
+    };
+    let events = [
+        submit(1, 1.0, 0.1),
+        submit(2, 4.0, 0.2),
+        Event::Cancel { id: 1 },
+    ];
+    let one_port = |dir: Arc<MemDir>| {
+        let mut cfg = EngineConfig::new(Topology::uniform(1, 1, 1.0));
+        cfg.step = STEP;
+        cfg.store = Some(StoreConfig {
+            dir,
+            fsync: FsyncPolicy::Round,
+            snapshot_every: 0,
+        });
+        cfg
+    };
+    let (live, replayed) = live_and_replayed(one_port, &events);
+    assert_eq!(
+        live.accepted,
+        vec![(2, 1)],
+        "B holds the second reservation id"
+    );
+    assert_eq!(
+        replayed, live,
+        "two-request round: replay diverges from live"
+    );
+
+    // Seeded workloads whose cancels race their target's round.
+    for seed in [11, 22, 33] {
+        let events = racing_workload(seed);
+        let (live, replayed) = live_and_replayed(|dir| config(dir, FsyncPolicy::Round, 0), &events);
+        assert_eq!(replayed, live, "seed {seed}: replay diverges from live");
     }
 }

@@ -39,17 +39,6 @@ cleanup() {
 }
 trap cleanup EXIT
 
-wait_synced() {
-    for _ in $(seq 200); do
-        if stats_of "$1" | grep -q '"repl_synced": *1'; then
-            return 0
-        fi
-        sleep 0.1
-    done
-    echo "cluster_smoke: standby never reached repl_synced=1" >&2
-    return 1
-}
-
 echo "== phase 1: 2-shard router vs solo daemon, partition-respecting ==" >&2
 "$GRIDBAND" serve --addr "127.0.0.1:$SOLO_PORT" &
 PIDS+=($!)

@@ -37,22 +37,6 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# Block until the primary reports the follower has applied everything it
-# shipped (repl_synced flips to 1 once the ack position matches).
-wait_synced() {
-    for _ in $(seq 200); do
-        if stats_of "$1" | grep -q '"repl_synced": *1'; then
-            return 0
-        fi
-        sleep 0.1
-    done
-    echo "failover_smoke: follower never reached repl_synced=1" >&2
-    return 1
-}
-
-accepted_of() { sed -n 's/.*"accepted": \([0-9]*\).*/\1/p' "$1" | head -1; }
-requests_of() { sed -n 's/.*"requests": \([0-9]*\).*/\1/p' "$1" | head -1; }
-
 echo "== reference run (solo, uninterrupted) ==" >&2
 "$GRIDBAND" serve --addr "127.0.0.1:$REF_PORT" --wal-dir "$WORK/wal-ref" &
 PRIMARY_PID=$!

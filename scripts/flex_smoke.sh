@@ -54,10 +54,6 @@ cleanup() {
 }
 trap cleanup EXIT
 
-json_field() {
-    grep -o "\"$2\": *[0-9.]*" "$1" | head -n1 | grep -o '[0-9.]*$'
-}
-
 # Query every id in $2 (one per line) against the daemon on port $1 and
 # print the raw Status reply lines in id order.
 query_dump() {

@@ -41,10 +41,6 @@ cleanup() {
 }
 trap cleanup EXIT
 
-json_field() {
-    grep -o "\"$2\": *[0-9.]*" "$1" | head -n1 | grep -o '[0-9.]*$'
-}
-
 echo "== qos smoke: mixed-class loadgen, --qos vs plain ==" >&2
 "$GRIDBAND" serve --addr "127.0.0.1:$PLAIN_PORT" --policy min &
 PIDS+=($!)

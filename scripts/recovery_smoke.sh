@@ -30,9 +30,6 @@ cleanup() {
 }
 trap cleanup EXIT
 
-accepted_of() { sed -n 's/.*"accepted": \([0-9]*\).*/\1/p' "$1" | head -1; }
-requests_of() { sed -n 's/.*"requests": \([0-9]*\).*/\1/p' "$1" | head -1; }
-
 echo "== reference run (uninterrupted) ==" >&2
 "$GRIDBAND" serve --addr "127.0.0.1:$REF_PORT" --wal-dir "$WORK/wal-ref" &
 DAEMON_PID=$!

@@ -17,12 +17,23 @@
 //! query-index rebuild so each touched port's index is rebuilt once per
 //! batch instead of once per reservation.
 //!
-//! **Commit invariant.** Inside this module every profile mutation of a
-//! multi-step operation goes through `allocate_deferred` /
-//! `release_deferred`, and every public method that used them ends with
-//! the private `commit` — on the error paths too. No `&self` query
-//! can therefore meet a stale index: holding `&mut self` for the whole
-//! operation is what keeps readers out until the commit has run.
+//! **One booking path.** A rigid reservation is the one-span case of a
+//! stepwise plan, and a hold is one span on one port. Every profile edit
+//! in this module — a booking, a cancel, a hold, an expiry — is a list of
+//! `(port, span)` charges handed to the private `book`, which checks every
+//! charge with the profile's read-only breakpoint scan first and applies
+//! them only if all pass. A refused operation therefore leaves every bit
+//! as it found it, and no caller carries an undo path. The one exception
+//! is [`amend_segments`](CapacityLedger::amend_segments): its new plan is
+//! checked against the ledger with the old plan already released, so a
+//! refusal restores clones of the two port profiles.
+//!
+//! **Commit invariant.** `book` edits the breakpoint vectors and leaves
+//! the touched ports' query indexes stale, and every public method that
+//! books ends with the private `commit` — on the error paths too. No
+//! `&self` query can therefore meet a stale index: holding `&mut self`
+//! for the whole operation is what keeps readers out until the commit has
+//! run.
 
 use crate::error::{NetError, NetResult};
 use crate::port::{EgressId, IngressId, PortRef, Route};
@@ -68,6 +79,12 @@ impl PortHold {
     pub fn area(&self) -> f64 {
         self.bw * (self.end - self.start)
     }
+
+    /// The hold's one charge: its span on its port.
+    fn charge(&self) -> Charge {
+        let (start, end, bw) = (self.start, self.end, self.bw);
+        (self.port, SegSpan { start, end, bw })
+    }
 }
 
 /// A booked slice of edge capacity.
@@ -88,6 +105,12 @@ impl Reservation {
     /// the transfer volume for an exactly-sized reservation.
     pub fn area(&self) -> f64 {
         self.bw * (self.end - self.start)
+    }
+
+    /// The reservation as the one segment of a stepwise plan.
+    fn span(&self) -> SegSpan {
+        let (start, end, bw) = (self.start, self.end, self.bw);
+        SegSpan { start, end, bw }
     }
 }
 
@@ -144,6 +167,51 @@ impl SegmentedReservation {
     pub fn peak(&self) -> Bandwidth {
         self.segments.iter().fold(0.0, |m, s| m.max(s.bw))
     }
+}
+
+/// One port's share of a booking: a span charged on, or freed from, one
+/// port. A rigid reservation is two charges, a stepwise plan two per
+/// segment, a hold one.
+type Charge = (PortRef, SegSpan);
+
+/// The two ports a route charges, ingress first.
+fn route_ports(route: Route) -> [PortRef; 2] {
+    [PortRef::In(route.ingress), PortRef::Out(route.egress)]
+}
+
+/// The charges of a route plan: every span on the ingress, then every
+/// span on the egress — the order a refusal is reported in.
+fn route_charges(route: Route, spans: &[SegSpan]) -> impl Iterator<Item = Charge> + Clone + '_ {
+    let on = |port: PortRef| spans.iter().map(move |s| (port, *s));
+    let [ingress, egress] = route_ports(route);
+    on(ingress).chain(on(egress))
+}
+
+/// The ids of one exported table: strictly increasing, and below the
+/// counter that hands them out.
+fn check_ids<T>(table: &str, entries: &[(u64, T)], next: u64) -> NetResult<()> {
+    let mut prev: Option<u64> = None;
+    for &(id, _) in entries {
+        if prev.is_some_and(|p| id <= p) {
+            return Err(NetError::InvalidArgument(format!(
+                "{table} not sorted by id at #{id}"
+            )));
+        }
+        if id >= next {
+            return Err(NetError::InvalidArgument(format!(
+                "{table}: #{id} not below the next id {next}"
+            )));
+        }
+        prev = Some(id);
+    }
+    Ok(())
+}
+
+/// Whether [`CapacityLedger::book`] adds its charges or takes them off.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Edit {
+    Charge,
+    Free,
 }
 
 /// Parameters of one reservation inside a [`CapacityLedger::reserve_all`]
@@ -294,24 +362,45 @@ impl CapacityLedger {
         self.live.get(&id.0)
     }
 
-    fn validate(&self, route: Route, start: Time, end: Time, bw: Bandwidth) -> NetResult<()> {
-        if !self.topology.contains_route(route) {
-            let bad = if route.ingress.index() >= self.topology.num_ingress() {
-                PortRef::In(route.ingress)
-            } else {
-                PortRef::Out(route.egress)
+    /// The one shape check: every booking passes it before it reaches a
+    /// profile, and so does every entry of a restored image. Each port
+    /// must lie inside the topology, and the plan must be non-empty, with
+    /// every span finite, longer than [`EPS`] (below the profiles' time
+    /// resolution), positive-rate, and strictly ordered without overlap.
+    fn validate(&self, ports: &[PortRef], spans: &[SegSpan]) -> NetResult<()> {
+        for &port in ports {
+            let known = match port {
+                PortRef::In(i) => i.index() < self.topology.num_ingress(),
+                PortRef::Out(e) => e.index() < self.topology.num_egress(),
             };
-            return Err(NetError::UnknownPort(bad));
+            if !known {
+                return Err(NetError::UnknownPort(port));
+            }
         }
-        if !(start.is_finite() && end.is_finite()) || end <= start {
-            return Err(NetError::InvalidArgument(format!(
-                "reservation interval [{start}, {end}) is empty or non-finite"
-            )));
+        if spans.is_empty() {
+            return Err(NetError::InvalidArgument("plan has no segments".into()));
         }
-        if !bw.is_finite() || bw <= 0.0 {
-            return Err(NetError::InvalidArgument(format!(
-                "reservation bandwidth {bw} must be finite and positive"
-            )));
+        let mut prev_end = f64::NEG_INFINITY;
+        for s in spans {
+            if !(s.start.is_finite() && s.end.is_finite()) || s.end - s.start <= EPS {
+                return Err(NetError::InvalidArgument(format!(
+                    "interval [{}, {}) is non-finite or not longer than ε",
+                    s.start, s.end
+                )));
+            }
+            if !s.bw.is_finite() || s.bw <= 0.0 {
+                return Err(NetError::InvalidArgument(format!(
+                    "bandwidth {} must be finite and positive",
+                    s.bw
+                )));
+            }
+            if s.start < prev_end {
+                return Err(NetError::InvalidArgument(format!(
+                    "segments overlap or are out of order at {}",
+                    s.start
+                )));
+            }
+            prev_end = s.end;
         }
         Ok(())
     }
@@ -391,11 +480,69 @@ impl CapacityLedger {
     }
 
     /// The profile of one port, whichever side it is on.
+    fn port(&self, port: PortRef) -> &CapacityProfile {
+        match port {
+            PortRef::In(i) => &self.ingress[i.index()],
+            PortRef::Out(e) => &self.egress[e.index()],
+        }
+    }
+
+    /// [`Self::port`], for an edit.
     fn port_mut(&mut self, port: PortRef) -> &mut CapacityProfile {
         match port {
             PortRef::In(i) => &mut self.ingress[i.index()],
             PortRef::Out(e) => &mut self.egress[e.index()],
         }
+    }
+
+    /// The one way a profile changes: check every charge of a booking,
+    /// then apply them all, leaving the index rebuild to
+    /// [`commit`](Self::commit). The checks are the profiles' read-only
+    /// breakpoint scans, correct even while an earlier edit of the same
+    /// batch has left an index stale. No two charges of one booking
+    /// overlap on a port (a plan's segments never do), so checking them
+    /// all first reads the same levels as checking each one just before
+    /// it is applied. A refused booking changes nothing; its error names
+    /// the first charge that failed.
+    fn book(&mut self, charges: impl Iterator<Item = Charge> + Clone, edit: Edit) -> NetResult<()> {
+        for (port, s) in charges.clone() {
+            let p = self.port(port);
+            let refusal = match edit {
+                Edit::Charge => {
+                    p.overflow_at(s.start, s.end, s.bw)
+                        .map(|at| NetError::CapacityExceeded {
+                            port,
+                            capacity: p.capacity(),
+                            requested: p.alloc_at(at) + s.bw,
+                            at,
+                        })
+                }
+                Edit::Free => (p.underflow_at(s.start, s.end, s.bw))
+                    .map(|at| NetError::ReleaseUnderflow { port, at }),
+            };
+            if let Some(e) = refusal {
+                return Err(e);
+            }
+        }
+        for (port, s) in charges {
+            let delta = match edit {
+                Edit::Charge => s.bw,
+                Edit::Free => -s.bw,
+            };
+            self.port_mut(port).apply_deferred(s.start, s.end, delta);
+        }
+        Ok(())
+    }
+
+    /// Validate and book a plan on both ports of `route`, and take the
+    /// next reservation id for it — the rigid and the stepwise booking
+    /// alike.
+    fn book_route(&mut self, route: Route, spans: &[SegSpan]) -> NetResult<u64> {
+        self.validate(&route_ports(route), spans)?;
+        self.book(route_charges(route, spans), Edit::Charge)?;
+        let id = self.next_id;
+        self.next_id += 1;
+        Ok(id)
     }
 
     fn reserve_deferred(
@@ -405,90 +552,22 @@ impl CapacityLedger {
         end: Time,
         bw: Bandwidth,
     ) -> NetResult<ReservationId> {
-        self.validate(route, start, end, bw)?;
-        let iidx = route.ingress.index();
-        let eidx = route.egress.index();
-        if let Err(at) = self.ingress[iidx].allocate_deferred(start, end, bw) {
-            return Err(NetError::CapacityExceeded {
-                port: PortRef::In(route.ingress),
-                capacity: self.ingress[iidx].capacity(),
-                requested: self.ingress[iidx].alloc_at(at) + bw,
-                at,
-            });
-        }
-        if let Err(at) = self.egress[eidx].allocate_deferred(start, end, bw) {
-            // Roll back the ingress booking to stay atomic.
-            self.ingress[iidx]
-                .release_deferred(start, end, bw)
-                .expect("rollback of a just-made allocation cannot fail");
-            return Err(NetError::CapacityExceeded {
-                port: PortRef::Out(route.egress),
-                capacity: self.egress[eidx].capacity(),
-                requested: self.egress[eidx].alloc_at(at) + bw,
-                at,
-            });
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.live.insert(
-            id,
-            Reservation {
-                route,
-                start,
-                end,
-                bw,
-            },
-        );
+        let r = Reservation {
+            route,
+            start,
+            end,
+            bw,
+        };
+        let id = self.book_route(route, &[r.span()])?;
+        self.live.insert(id, r);
         Ok(ReservationId(id))
-    }
-
-    /// Shape-check a stepwise plan: every span finite, longer than ε,
-    /// positive-rate, and strictly ordered without overlap.
-    fn validate_segments(&self, route: Route, segments: &[SegSpan]) -> NetResult<()> {
-        if !self.topology.contains_route(route) {
-            let bad = if route.ingress.index() >= self.topology.num_ingress() {
-                PortRef::In(route.ingress)
-            } else {
-                PortRef::Out(route.egress)
-            };
-            return Err(NetError::UnknownPort(bad));
-        }
-        if segments.is_empty() {
-            return Err(NetError::InvalidArgument(
-                "segmented reservation has no segments".into(),
-            ));
-        }
-        let mut prev_end = f64::NEG_INFINITY;
-        for s in segments {
-            if !(s.start.is_finite() && s.end.is_finite()) || s.end - s.start <= EPS {
-                return Err(NetError::InvalidArgument(format!(
-                    "segment [{}, {}) is empty or non-finite",
-                    s.start, s.end
-                )));
-            }
-            if !s.bw.is_finite() || s.bw <= 0.0 {
-                return Err(NetError::InvalidArgument(format!(
-                    "segment bandwidth {} must be finite and positive",
-                    s.bw
-                )));
-            }
-            if s.start < prev_end {
-                return Err(NetError::InvalidArgument(format!(
-                    "segments overlap or are out of order at {}",
-                    s.start
-                )));
-            }
-            prev_end = s.end;
-        }
-        Ok(())
     }
 
     /// Atomically book a stepwise plan on both endpoints of `route`:
     /// every segment is charged on the ingress and the egress profile, or
-    /// nothing is. All-or-nothing holds across segments *and* ports — a
-    /// mid-plan overflow rolls back every allocation already made (the
-    /// rollback of a just-made allocation cannot fail), so a rejected
-    /// plan leaves the ledger exactly as it found it.
+    /// nothing is. Every segment is checked on both ports before any is
+    /// applied, so a rejected plan leaves the ledger exactly as it found
+    /// it.
     ///
     /// The reservation shares the id space of [`reserve`](Self::reserve);
     /// free it with [`cancel_segments`](Self::cancel_segments) or reshape
@@ -498,71 +577,19 @@ impl CapacityLedger {
         route: Route,
         segments: &[SegSpan],
     ) -> NetResult<ReservationId> {
-        let out = self.reserve_segments_deferred(route, segments);
+        let id = self.book_route(route, segments);
         self.commit();
-        out
-    }
-
-    fn reserve_segments_deferred(
-        &mut self,
-        route: Route,
-        segments: &[SegSpan],
-    ) -> NetResult<ReservationId> {
-        self.validate_segments(route, segments)?;
-        let iidx = route.ingress.index();
-        let eidx = route.egress.index();
-        for (k, s) in segments.iter().enumerate() {
-            if let Err(at) = self.ingress[iidx].allocate_deferred(s.start, s.end, s.bw) {
-                for u in segments[..k].iter().rev() {
-                    self.ingress[iidx]
-                        .release_deferred(u.start, u.end, u.bw)
-                        .expect("rollback of a just-made allocation cannot fail");
-                }
-                return Err(NetError::CapacityExceeded {
-                    port: PortRef::In(route.ingress),
-                    capacity: self.ingress[iidx].capacity(),
-                    requested: self.ingress[iidx].alloc_at(at) + s.bw,
-                    at,
-                });
-            }
-        }
-        for (k, s) in segments.iter().enumerate() {
-            if let Err(at) = self.egress[eidx].allocate_deferred(s.start, s.end, s.bw) {
-                for u in segments[..k].iter().rev() {
-                    self.egress[eidx]
-                        .release_deferred(u.start, u.end, u.bw)
-                        .expect("rollback of a just-made allocation cannot fail");
-                }
-                for u in segments.iter().rev() {
-                    self.ingress[iidx]
-                        .release_deferred(u.start, u.end, u.bw)
-                        .expect("rollback of a just-made allocation cannot fail");
-                }
-                return Err(NetError::CapacityExceeded {
-                    port: PortRef::Out(route.egress),
-                    capacity: self.egress[eidx].capacity(),
-                    requested: self.egress[eidx].alloc_at(at) + s.bw,
-                    at,
-                });
-            }
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.live_seg.insert(
-            id,
-            SegmentedReservation {
-                route,
-                segments: segments.to_vec(),
-            },
-        );
+        let id = id?;
+        let segments = segments.to_vec();
+        self.live_seg
+            .insert(id, SegmentedReservation { route, segments });
         Ok(ReservationId(id))
     }
 
     /// Cancel a live segmented reservation, freeing every segment's
     /// capacity on both ports. Like [`cancel`](Self::cancel), a failing
-    /// release (corrupted profile) leaves the ledger unchanged — here
-    /// guaranteed bit-exactly by restoring pre-cancel clones of the two
-    /// port profiles instead of replaying inverse float operations.
+    /// release (corrupted profile) leaves the ledger unchanged, bit for
+    /// bit.
     pub fn cancel_segments(&mut self, id: ReservationId) -> NetResult<SegmentedReservation> {
         let out = self.cancel_segments_deferred(id);
         self.commit();
@@ -575,29 +602,7 @@ impl CapacityLedger {
             .get(&id.0)
             .ok_or(NetError::UnknownReservation(id.0))?
             .clone();
-        let iidx = r.route.ingress.index();
-        let eidx = r.route.egress.index();
-        let ing_snap = self.ingress[iidx].clone();
-        let egr_snap = self.egress[eidx].clone();
-        for s in &r.segments {
-            if let Err(at) = self.ingress[iidx].release_deferred(s.start, s.end, s.bw) {
-                self.ingress[iidx] = ing_snap;
-                return Err(NetError::ReleaseUnderflow {
-                    port: PortRef::In(r.route.ingress),
-                    at,
-                });
-            }
-        }
-        for s in &r.segments {
-            if let Err(at) = self.egress[eidx].release_deferred(s.start, s.end, s.bw) {
-                self.ingress[iidx] = ing_snap;
-                self.egress[eidx] = egr_snap;
-                return Err(NetError::ReleaseUnderflow {
-                    port: PortRef::Out(r.route.egress),
-                    at,
-                });
-            }
-        }
+        self.book(route_charges(r.route, &r.segments), Edit::Free)?;
         self.live_seg.remove(&id.0);
         Ok(r)
     }
@@ -618,62 +623,34 @@ impl CapacityLedger {
                 .ok_or(NetError::UnknownReservation(id.0))?;
             (r.route, r.segments.clone())
         };
-        self.validate_segments(route, new_segments)?;
-        let iidx = route.ingress.index();
-        let eidx = route.egress.index();
-        let ing_snap = self.ingress[iidx].clone();
-        let egr_snap = self.egress[eidx].clone();
-        let result = (|| -> NetResult<()> {
-            for s in &old_segments {
-                self.ingress[iidx]
-                    .release_deferred(s.start, s.end, s.bw)
-                    .map_err(|at| NetError::ReleaseUnderflow {
-                        port: PortRef::In(route.ingress),
-                        at,
-                    })?;
-                self.egress[eidx]
-                    .release_deferred(s.start, s.end, s.bw)
-                    .map_err(|at| NetError::ReleaseUnderflow {
-                        port: PortRef::Out(route.egress),
-                        at,
-                    })?;
+        let ports = route_ports(route);
+        self.validate(&ports, new_segments)?;
+        // Span by span, ingress then egress: the order a refusal is
+        // reported in.
+        let paired = |spans: &[SegSpan]| -> Vec<Charge> {
+            spans
+                .iter()
+                .flat_map(|s| ports.map(|port| (port, *s)))
+                .collect()
+        };
+        let (old, new) = (paired(&old_segments), paired(new_segments));
+        let snaps = ports.map(|port| self.port(port).clone());
+        let result = self
+            .book(old.into_iter(), Edit::Free)
+            .and_then(|()| self.book(new.into_iter(), Edit::Charge));
+        if let Err(e) = result {
+            // The clones were taken committed, index and all.
+            for (port, snap) in ports.into_iter().zip(snaps) {
+                *self.port_mut(port) = snap;
             }
-            for s in new_segments {
-                if let Err(at) = self.ingress[iidx].allocate_deferred(s.start, s.end, s.bw) {
-                    return Err(NetError::CapacityExceeded {
-                        port: PortRef::In(route.ingress),
-                        capacity: self.ingress[iidx].capacity(),
-                        requested: self.ingress[iidx].alloc_at(at) + s.bw,
-                        at,
-                    });
-                }
-                if let Err(at) = self.egress[eidx].allocate_deferred(s.start, s.end, s.bw) {
-                    return Err(NetError::CapacityExceeded {
-                        port: PortRef::Out(route.egress),
-                        capacity: self.egress[eidx].capacity(),
-                        requested: self.egress[eidx].alloc_at(at) + s.bw,
-                        at,
-                    });
-                }
-            }
-            Ok(())
-        })();
-        match result {
-            Ok(()) => {
-                self.commit();
-                self.live_seg
-                    .get_mut(&id.0)
-                    .expect("checked above")
-                    .segments = new_segments.to_vec();
-                Ok(())
-            }
-            Err(e) => {
-                // The snapshots were taken committed, index and all.
-                self.ingress[iidx] = ing_snap;
-                self.egress[eidx] = egr_snap;
-                Err(e)
-            }
+            return Err(e);
         }
+        self.commit();
+        self.live_seg
+            .get_mut(&id.0)
+            .expect("checked above")
+            .segments = new_segments.to_vec();
+        Ok(())
     }
 
     /// Look up a live segmented reservation.
@@ -705,8 +682,8 @@ impl CapacityLedger {
     /// Cancel a live reservation, freeing its capacity on both ports.
     ///
     /// A failing release (possible only if a port profile was corrupted
-    /// behind the ledger's back) leaves the ledger unchanged: the
-    /// reservation stays live and any partial release is rolled back, so
+    /// behind the ledger's back) leaves the ledger unchanged, bit for bit:
+    /// the reservation stays live and neither port is released, so
     /// capacity is never charged for a reservation the ledger has
     /// forgotten.
     pub fn cancel(&mut self, id: ReservationId) -> NetResult<Reservation> {
@@ -720,23 +697,7 @@ impl CapacityLedger {
             .live
             .get(&id.0)
             .ok_or(NetError::UnknownReservation(id.0))?;
-        self.ingress[r.route.ingress.index()]
-            .release_deferred(r.start, r.end, r.bw)
-            .map_err(|at| NetError::ReleaseUnderflow {
-                port: PortRef::In(r.route.ingress),
-                at,
-            })?;
-        if let Err(at) = self.egress[r.route.egress.index()].release_deferred(r.start, r.end, r.bw)
-        {
-            // Re-charge the ingress so the failed cancel is a no-op.
-            self.ingress[r.route.ingress.index()]
-                .allocate_deferred(r.start, r.end, r.bw)
-                .expect("rollback of a just-made release cannot overflow");
-            return Err(NetError::ReleaseUnderflow {
-                port: PortRef::Out(r.route.egress),
-                at,
-            });
-        }
+        self.book(route_charges(r.route, &[r.span()]), Edit::Free)?;
         self.live.remove(&id.0);
         Ok(r)
     }
@@ -765,45 +726,6 @@ impl CapacityLedger {
             .collect();
         self.commit();
         out
-    }
-
-    /// Shrink a live reservation's end time (early completion). The freed
-    /// tail `[new_end, end)` is released on both ports.
-    ///
-    /// Tails shorter than [`EPS`] are below the ledger's time resolution:
-    /// a `new_end` within ε of the current end is a no-op, and a `new_end`
-    /// within ε of the start cancels the reservation outright (a live
-    /// reservation must never be shorter than ε, or releasing it later
-    /// would be impossible).
-    pub fn truncate(&mut self, id: ReservationId, new_end: Time) -> NetResult<()> {
-        let r = *self
-            .live
-            .get(&id.0)
-            .ok_or(NetError::UnknownReservation(id.0))?;
-        if new_end.is_nan() {
-            return Err(NetError::InvalidArgument("truncate to NaN end time".into()));
-        }
-        if r.end - new_end <= EPS {
-            return Ok(()); // nothing to free (or a sub-ε sliver of it)
-        }
-        if new_end <= r.start + EPS {
-            self.cancel(id)?;
-            return Ok(());
-        }
-        self.ingress[r.route.ingress.index()]
-            .release(new_end, r.end, r.bw)
-            .map_err(|at| NetError::ReleaseUnderflow {
-                port: PortRef::In(r.route.ingress),
-                at,
-            })?;
-        self.egress[r.route.egress.index()]
-            .release(new_end, r.end, r.bw)
-            .map_err(|at| NetError::ReleaseUnderflow {
-                port: PortRef::Out(r.route.egress),
-                at,
-            })?;
-        self.live.get_mut(&id.0).expect("checked above").end = new_end;
-        Ok(())
     }
 
     /// Number of currently live holds.
@@ -836,44 +758,20 @@ impl CapacityLedger {
         end: Time,
         bw: Bandwidth,
     ) -> NetResult<HoldId> {
-        if !(start.is_finite() && end.is_finite()) || end <= start {
-            return Err(NetError::InvalidArgument(format!(
-                "hold interval [{start}, {end}) is empty or non-finite"
-            )));
-        }
-        if !bw.is_finite() || bw <= 0.0 {
-            return Err(NetError::InvalidArgument(format!(
-                "hold bandwidth {bw} must be finite and positive"
-            )));
-        }
-        let profile = match port {
-            PortRef::In(i) if i.index() < self.topology.num_ingress() => {
-                &mut self.ingress[i.index()]
-            }
-            PortRef::Out(e) if e.index() < self.topology.num_egress() => {
-                &mut self.egress[e.index()]
-            }
-            _ => return Err(NetError::UnknownPort(port)),
+        let h = PortHold {
+            port,
+            start,
+            end,
+            bw,
         };
-        if let Err(at) = profile.allocate(start, end, bw) {
-            return Err(NetError::CapacityExceeded {
-                port,
-                capacity: profile.capacity(),
-                requested: profile.alloc_at(at) + bw,
-                at,
-            });
-        }
+        let charge = h.charge();
+        self.validate(&[port], &[charge.1])?;
+        let out = self.book(std::iter::once(charge), Edit::Charge);
+        self.commit();
+        out?;
         let id = self.next_hold_id;
         self.next_hold_id += 1;
-        self.holds.insert(
-            id,
-            PortHold {
-                port,
-                start,
-                end,
-                bw,
-            },
-        );
+        self.holds.insert(id, h);
         Ok(HoldId(id))
     }
 
@@ -889,9 +787,7 @@ impl CapacityLedger {
 
     fn release_hold_deferred(&mut self, id: HoldId) -> NetResult<PortHold> {
         let h = *self.holds.get(&id.0).ok_or(NetError::UnknownHold(id.0))?;
-        self.port_mut(h.port)
-            .release_deferred(h.start, h.end, h.bw)
-            .map_err(|at| NetError::ReleaseUnderflow { port: h.port, at })?;
+        self.book(std::iter::once(h.charge()), Edit::Free)?;
         self.holds.remove(&id.0);
         Ok(h)
     }
@@ -918,8 +814,8 @@ impl CapacityLedger {
     /// reservation or hold)`. Capping the truncation at the earliest
     /// surviving start is what keeps GC answer-preserving: the profile
     /// charge of a live reservation is never partially forgotten, so
-    /// [`cancel`](Self::cancel) / [`truncate`](Self::truncate) /
-    /// [`release_hold`](Self::release_hold) keep releasing full intervals
+    /// [`cancel`](Self::cancel) / [`cancel_segments`](Self::cancel_segments)
+    /// / [`release_hold`](Self::release_hold) keep releasing full intervals
     /// and the restore-time conservation check stays exact.
     ///
     /// Expiry uses the **exact** comparison `end <= watermark`, not the
@@ -969,23 +865,11 @@ impl CapacityLedger {
         expired.sort_unstable();
         for id in expired {
             let r = self.live.remove(&id).expect("selected above");
-            if r.end > cut {
-                // Charge reaches past the truncation point: release it the
-                // ordinary way (it is still fully intact in the profiles).
-                // Charge entirely below the cut just vanishes with the
-                // truncation — no release needed.
-                self.ingress[r.route.ingress.index()]
-                    .release_deferred(r.start, r.end, r.bw)
-                    .expect("live reservation charge must be releasable");
-                self.egress[r.route.egress.index()]
-                    .release_deferred(r.start, r.end, r.bw)
-                    .expect("live reservation charge must be releasable");
-            }
+            self.free_past(cut, route_charges(r.route, &[r.span()]));
             stats.reservations_collected += 1;
         }
         // Expired segmented reservations, also ascending by id (BTreeMap
-        // iteration order). Only segments whose charge reaches past the
-        // cut still exist in the profiles and need releasing.
+        // iteration order).
         let expired_seg: Vec<u64> = self
             .live_seg
             .iter()
@@ -994,16 +878,7 @@ impl CapacityLedger {
             .collect();
         for id in expired_seg {
             let r = self.live_seg.remove(&id).expect("selected above");
-            for s in &r.segments {
-                if s.end > cut {
-                    self.ingress[r.route.ingress.index()]
-                        .release_deferred(s.start, s.end, s.bw)
-                        .expect("live segment charge must be releasable");
-                    self.egress[r.route.egress.index()]
-                        .release_deferred(s.start, s.end, s.bw)
-                        .expect("live segment charge must be releasable");
-                }
-            }
+            self.free_past(cut, route_charges(r.route, &r.segments));
             stats.reservations_collected += 1;
         }
         let mut expired_holds: Vec<u64> = self
@@ -1015,11 +890,7 @@ impl CapacityLedger {
         expired_holds.sort_unstable();
         for id in expired_holds {
             let h = self.holds.remove(&id).expect("selected above");
-            if h.end > cut {
-                self.port_mut(h.port)
-                    .release_deferred(h.start, h.end, h.bw)
-                    .expect("live hold charge must be releasable");
-            }
+            self.free_past(cut, std::iter::once(h.charge()));
             stats.holds_collected += 1;
         }
         for p in self.ingress.iter_mut().chain(self.egress.iter_mut()) {
@@ -1029,6 +900,15 @@ impl CapacityLedger {
         // this is for the ports where it found nothing to drop.
         self.commit();
         stats
+    }
+
+    /// Free what an expired entry still charges. A span reaching past the
+    /// truncation point `cut` is still whole in its profile and is
+    /// released the ordinary way; one ending at or before it just
+    /// vanishes with the truncation.
+    fn free_past(&mut self, cut: Time, charges: impl Iterator<Item = Charge> + Clone) {
+        self.book(charges.filter(move |(_, s)| s.end > cut), Edit::Free)
+            .expect("a live entry's charge must be releasable");
     }
 
     /// Total bandwidth-seconds reserved across all ingress ports over
@@ -1080,12 +960,15 @@ impl CapacityLedger {
     ///
     /// The image is validated before anything is touched — on error the
     /// ledger is unchanged. Checks: profile vectors match the topology's
-    /// port counts and capacities; reservation ids are strictly
-    /// increasing and below `next_id`; every reservation is well-formed
-    /// and routed inside the topology; and, per port, the profile's
-    /// integral equals the summed area of the live reservations charging
-    /// it (within ε) — a damaged image can therefore never materialize
-    /// phantom capacity that no live reservation accounts for.
+    /// port counts and capacities; the ids of each table (rigid,
+    /// segmented, holds) are strictly increasing and below their
+    /// counter, and no id is both rigid and segmented; every entry passes
+    /// the shape check a booking passes (ports inside the topology, spans
+    /// finite, longer than ε, positive-rate and in order); and, per port,
+    /// the profile's integral equals the summed area of every span the
+    /// live entries charge on it (within ε) — a damaged image can
+    /// therefore never materialize phantom capacity that no live
+    /// reservation or hold accounts for.
     pub fn restore_state(&mut self, state: LedgerState) -> NetResult<()> {
         if state.ingress.len() != self.topology.num_ingress()
             || state.egress.len() != self.topology.num_egress()
@@ -1121,148 +1004,63 @@ impl CapacityLedger {
                 )));
             }
         }
-        let mut prev: Option<u64> = None;
-        for &(id, r) in &state.live {
-            if prev.is_some_and(|p| id <= p) {
-                return Err(NetError::InvalidArgument(format!(
-                    "live reservations not sorted by id at #{id}"
-                )));
-            }
-            prev = Some(id);
-            if id >= state.next_id {
-                return Err(NetError::InvalidArgument(format!(
-                    "live reservation #{id} not below next_id {}",
-                    state.next_id
-                )));
-            }
-            self.validate(r.route, r.start, r.end, r.bw)?;
-        }
         let seg_entries: &[(u64, SegmentedReservation)] = state.live_seg.as_deref().unwrap_or(&[]);
-        let mut prev_seg: Option<u64> = None;
-        for (id, r) in seg_entries {
-            if prev_seg.is_some_and(|p| *id <= p) {
-                return Err(NetError::InvalidArgument(format!(
-                    "segmented reservations not sorted by id at #{id}"
-                )));
-            }
-            prev_seg = Some(*id);
-            if *id >= state.next_id {
-                return Err(NetError::InvalidArgument(format!(
-                    "segmented reservation #{id} not below next_id {}",
-                    state.next_id
-                )));
-            }
+        check_ids("live reservations", &state.live, state.next_id)?;
+        check_ids("segmented reservations", seg_entries, state.next_id)?;
+        check_ids("live holds", &state.holds, state.next_hold_id)?;
+        for (id, _) in seg_entries {
             if state.live.binary_search_by_key(id, |&(rid, _)| rid).is_ok() {
                 return Err(NetError::InvalidArgument(format!(
                     "reservation #{id} is both rigid and segmented"
                 )));
             }
-            self.validate_segments(r.route, &r.segments)?;
         }
-        let mut prev_hold: Option<u64> = None;
-        for &(id, h) in &state.holds {
-            if prev_hold.is_some_and(|p| id <= p) {
-                return Err(NetError::InvalidArgument(format!(
-                    "live holds not sorted by id at #{id}"
-                )));
+        // Every entry passes the booking-time shape check, and what it
+        // charges is what each port's profile must account for.
+        let mut owed = (
+            vec![0.0; state.ingress.len()],
+            vec![0.0; state.egress.len()],
+        );
+        let mut owe = |ports: &[PortRef], spans: &[SegSpan]| -> NetResult<()> {
+            self.validate(ports, spans)?;
+            let area: f64 = spans.iter().map(SegSpan::area).sum();
+            for &port in ports {
+                match port {
+                    PortRef::In(i) => owed.0[i.index()] += area,
+                    PortRef::Out(e) => owed.1[e.index()] += area,
+                }
             }
-            prev_hold = Some(id);
-            if id >= state.next_hold_id {
-                return Err(NetError::InvalidArgument(format!(
-                    "live hold #{id} not below next_hold_id {}",
-                    state.next_hold_id
-                )));
-            }
-            let known = match h.port {
-                PortRef::In(i) => i.index() < self.topology.num_ingress(),
-                PortRef::Out(e) => e.index() < self.topology.num_egress(),
-            };
-            if !known {
-                return Err(NetError::UnknownPort(h.port));
-            }
-            if !(h.start.is_finite() && h.end.is_finite()) || h.end <= h.start {
-                return Err(NetError::InvalidArgument(format!(
-                    "hold interval [{}, {}) is empty or non-finite",
-                    h.start, h.end
-                )));
-            }
-            if !h.bw.is_finite() || h.bw <= 0.0 {
-                return Err(NetError::InvalidArgument(format!(
-                    "hold bandwidth {} must be finite and positive",
-                    h.bw
-                )));
-            }
+            Ok(())
+        };
+        for (_, r) in &state.live {
+            owe(&route_ports(r.route), &[r.span()])?;
+        }
+        for (_, r) in seg_entries {
+            owe(&route_ports(r.route), &r.segments)?;
+        }
+        for (_, h) in &state.holds {
+            owe(&[h.port], &[h.charge().1])?;
         }
         // Conservation check: each port's booked bandwidth-seconds must
         // be exactly the live reservations plus live holds charging it
         // (expired ones were released by GC before any snapshot).
-        let span = |profiles: &[CapacityProfile]| {
-            profiles
-                .iter()
-                .flat_map(|p| p.breakpoints().iter().map(|b| b.time))
-                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), t| {
-                    (lo.min(t), hi.max(t))
-                })
-        };
-        let (lo_i, hi_i) = span(&state.ingress);
-        let (lo_e, hi_e) = span(&state.egress);
-        let (lo, hi) = (lo_i.min(lo_e), hi_i.max(hi_e));
-        if lo < hi {
-            for (dir, profiles) in [("ingress", &state.ingress), ("egress", &state.egress)] {
-                for (idx, p) in profiles.iter().enumerate() {
-                    let booked = p.integral_alloc(lo, hi);
-                    let reserved: f64 = state
-                        .live
-                        .iter()
-                        .map(|&(_, r)| {
-                            let charged = match dir {
-                                "ingress" => r.route.ingress.index() == idx,
-                                _ => r.route.egress.index() == idx,
-                            };
-                            if charged {
-                                r.area()
-                            } else {
-                                0.0
-                            }
-                        })
-                        .sum();
-                    let seg_reserved: f64 = seg_entries
-                        .iter()
-                        .map(|(_, r)| {
-                            let charged = match dir {
-                                "ingress" => r.route.ingress.index() == idx,
-                                _ => r.route.egress.index() == idx,
-                            };
-                            if charged {
-                                r.volume()
-                            } else {
-                                0.0
-                            }
-                        })
-                        .sum();
-                    let held: f64 = state
-                        .holds
-                        .iter()
-                        .map(|&(_, h)| {
-                            let charged = match (dir, h.port) {
-                                ("ingress", PortRef::In(i)) => i.index() == idx,
-                                ("egress", PortRef::Out(e)) => e.index() == idx,
-                                _ => false,
-                            };
-                            if charged {
-                                h.area()
-                            } else {
-                                0.0
-                            }
-                        })
-                        .sum();
-                    let owed = reserved + seg_reserved + held;
-                    let tol = EPS * (1.0 + booked.abs().max(owed.abs()));
-                    if (booked - owed).abs() > tol {
-                        return Err(NetError::InvalidArgument(format!(
-                            "{dir} {idx} books {booked} MB but live reservations and holds account for {owed} MB"
-                        )));
-                    }
+        let (lo, hi) = (state.ingress.iter().chain(&state.egress))
+            .flat_map(|p| p.breakpoints().iter().map(|b| b.time))
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), t| {
+                (lo.min(t), hi.max(t))
+            });
+        let sides = [
+            ("ingress", &state.ingress, &owed.0),
+            ("egress", &state.egress, &owed.1),
+        ];
+        for (dir, profiles, owed) in sides {
+            for (idx, (p, &owed)) in profiles.iter().zip(owed).enumerate() {
+                let booked = p.integral_alloc(lo, hi);
+                let tol = EPS * (1.0 + booked.abs().max(owed.abs()));
+                if (booked - owed).abs() > tol {
+                    return Err(NetError::InvalidArgument(format!(
+                        "{dir} {idx} books {booked} MB but live reservations and holds account for {owed} MB"
+                    )));
                 }
             }
         }
@@ -1407,10 +1205,26 @@ mod tests {
                 ..
             }
         ));
-        // Every prior segment allocation rolled back on both ports.
+        // Nothing was booked on either port.
         assert_eq!(l.ingress_profile(IngressId(0)), &before_in);
         assert_eq!(l.egress_profile(EgressId(0)), &before_eg);
         assert_eq!(l.seg_count(), 0);
+        // A rigid booking is the one-segment case: refused on its egress,
+        // it leaves its ingress bit-identical (a charge-then-undo would
+        // leave 0.1 + 0.2 − 0.2 = 0.10000000000000003 there).
+        let mut r = small();
+        r.reserve(Route::new(0, 1), 0.0, 10.0, 0.1).unwrap();
+        r.reserve(Route::new(1, 0), 0.0, 10.0, 99.9).unwrap();
+        let before = r.export_state();
+        let err = r.reserve(Route::new(0, 0), 0.0, 10.0, 0.2).unwrap_err();
+        assert!(matches!(
+            err,
+            NetError::CapacityExceeded {
+                port: PortRef::Out(EgressId(0)),
+                ..
+            }
+        ));
+        assert_eq!(r.export_state(), before);
         // Malformed plans are rejected up front.
         for bad in [
             vec![],
@@ -1542,60 +1356,16 @@ mod tests {
     }
 
     #[test]
-    fn truncate_releases_the_tail_only() {
-        let mut l = small();
-        let id = l.reserve(Route::new(0, 0), 0.0, 10.0, 80.0).unwrap();
-        l.truncate(id, 4.0).unwrap();
-        assert_eq!(l.ingress_profile(IngressId(0)).alloc_at(2.0), 80.0);
-        assert_eq!(l.ingress_profile(IngressId(0)).alloc_at(5.0), 0.0);
-        assert_eq!(l.get(id).unwrap().end, 4.0);
-        // Truncating to before the start cancels outright.
-        let id2 = l.reserve(Route::new(1, 1), 5.0, 9.0, 10.0).unwrap();
-        l.truncate(id2, 5.0).unwrap();
-        assert!(l.get(id2).is_none());
-        // Extending via truncate is a no-op.
-        l.truncate(id, 100.0).unwrap();
-        assert_eq!(l.get(id).unwrap().end, 4.0);
-    }
-
-    #[test]
-    fn truncate_with_sub_epsilon_tail_is_a_noop() {
-        let mut l = small();
-        let id = l.reserve(Route::new(0, 0), 0.0, 10.0, 50.0).unwrap();
-        // Freed tail shorter than EPS: used to panic inside
-        // CapacityProfile::release ("empty or reversed interval").
-        l.truncate(id, 10.0 - EPS / 2.0).unwrap();
-        assert_eq!(l.get(id).unwrap().end, 10.0, "sub-ε truncate is a no-op");
-        assert_eq!(l.ingress_profile(IngressId(0)).alloc_at(9.5), 50.0);
-        // Exactly at the end is also a no-op.
-        l.truncate(id, 10.0).unwrap();
-        assert_eq!(l.get(id).unwrap().end, 10.0);
-        // NaN is rejected, not forwarded to the profiles.
-        assert!(matches!(
-            l.truncate(id, f64::NAN),
-            Err(NetError::InvalidArgument(_))
-        ));
-    }
-
-    #[test]
-    fn truncate_to_sub_epsilon_duration_cancels() {
-        let mut l = small();
-        let id = l.reserve(Route::new(0, 0), 0.0, 10.0, 50.0).unwrap();
-        // The would-be remaining reservation [0, EPS/2) is below the time
-        // resolution; keeping it live would make it impossible to release.
-        l.truncate(id, EPS / 2.0).unwrap();
-        assert!(l.get(id).is_none());
-        assert!(l.ingress_profile(IngressId(0)).is_empty());
-        assert!(l.egress_profile(EgressId(0)).is_empty());
-    }
-
-    #[test]
     fn failed_cancel_keeps_the_reservation_and_its_capacity() {
         let mut l = small();
-        let id = l.reserve(Route::new(0, 1), 0.0, 10.0, 60.0).unwrap();
+        // Awkward floats, so a release and a re-charge would NOT
+        // round-trip the ingress.
+        l.reserve(Route::new(0, 0), 0.3, 7.7, 0.1).unwrap();
+        let id = l.reserve(Route::new(0, 1), 0.1, 9.9, 0.2).unwrap();
         // Corrupt the egress profile behind the ledger's back so the
         // egress-side release of the cancel fails.
-        l.egress[1].release(0.0, 10.0, 60.0).unwrap();
+        l.egress[1].release(0.1, 9.9, 0.2).unwrap();
+        let before = l.export_state();
         let err = l.cancel(id).unwrap_err();
         assert!(matches!(
             err,
@@ -1604,16 +1374,17 @@ mod tests {
                 ..
             }
         ));
-        // The failed cancel must be a no-op: the reservation is still live
-        // and the ingress is still charged (no phantom capacity leak).
+        // The failed cancel must be a no-op, down to the last bit: the
+        // reservation is still live and the ingress is still charged
+        // exactly as before (no phantom capacity leak, no residue).
         assert!(l.get(id).is_some());
-        assert_eq!(l.live_count(), 1);
-        assert_eq!(l.ingress_profile(IngressId(0)).alloc_at(5.0), 60.0);
+        assert_eq!(l.live_count(), 2);
+        assert_eq!(l.export_state(), before);
         // Restore the egress side; now the cancel goes through.
-        l.egress[1].allocate(0.0, 10.0, 60.0).unwrap();
+        l.egress[1].allocate(0.1, 9.9, 0.2).unwrap();
         l.cancel(id).unwrap();
         assert!(l.get(id).is_none());
-        assert!(l.ingress_profile(IngressId(0)).is_empty());
+        assert_eq!(l.live_count(), 1);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! # Indexed queries
 //!
 //! Alongside the breakpoint vector the profile maintains an implicit
-//! segment tree ([`ProfileIndex`]) holding the running interval-max and
+//! segment tree (`ProfileIndex`) holding the running interval-max and
 //! interval-min of `alloc`. With `k` breakpoints this makes the admission
 //! hot path — [`max_alloc`](CapacityProfile::max_alloc),
 //! [`min_free`](CapacityProfile::min_free),
@@ -22,10 +22,12 @@
 //! [`earliest_fit`](CapacityProfile::earliest_fit) — `O(log k)` per query
 //! (`earliest_fit` is `O(log k)` per busy period skipped) instead of the
 //! previous `O(k)` scans. Mutations (`allocate` / `release`) remain `O(k)`
-//! — they splice the breakpoint vector and then rebuild the index — and the
-//! `pub(crate)` `*_deferred` variants let [`crate::CapacityLedger`] run a
-//! whole multi-step mutation (an admission round, an expiry sweep, a
-//! stepwise plan) and rebuild each touched index once, when it commits.
+//! — they splice the breakpoint vector and then rebuild the index. Inside
+//! the crate, [`crate::CapacityLedger`] checks a whole booking with the
+//! read-only `overflow_at` / `underflow_at` scans, applies it with the
+//! unchecked `apply_deferred`, and rebuilds each touched index once, when
+//! the operation (an admission round, an expiry sweep, a stepwise plan)
+//! commits.
 //! The prefix areas behind [`free_volume`](CapacityProfile::free_volume)
 //! are not part of that rebuild: they are built by the first `free_volume`
 //! after a mutation and kept until the next one.
@@ -203,8 +205,8 @@ impl ProfileIndex {
 /// * adjacent breakpoints never carry the same level (the representation is
 ///   canonical);
 /// * the segment-tree index mirrors the breakpoint vector except between a
-///   `*_deferred` mutation and the [`commit_index`](Self::commit_index)
-///   that every [`crate::CapacityLedger`] operation ends with.
+///   deferred edit and the index commit that every
+///   [`crate::CapacityLedger`] operation ends with.
 #[derive(Debug, Clone)]
 pub struct CapacityProfile {
     capacity: Bandwidth,
@@ -371,18 +373,18 @@ impl CapacityProfile {
         self.dirty = false;
     }
 
-    /// Rebuild the index if a deferred mutation left it stale. Every
-    /// [`crate::CapacityLedger`] operation that mutates through the
-    /// `*_deferred` variants calls this once per port before it returns.
+    /// Rebuild the index if a deferred edit left it stale. Every
+    /// [`crate::CapacityLedger`] operation that edits through
+    /// [`Self::apply_deferred`] calls this once per port before it returns.
     pub(crate) fn commit_index(&mut self) {
         if self.dirty {
             self.rebuild_index();
         }
     }
 
-    /// Indexed queries must not run against a stale index; the `*_deferred`
-    /// mutation paths are `pub(crate)` and every crate-internal batch ends
-    /// with [`Self::commit_index`], so a failure here is a ledger bug.
+    /// Indexed queries must not run against a stale index; the deferred
+    /// edit is `pub(crate)` and every crate-internal batch ends with
+    /// [`Self::commit_index`], so a failure here is a ledger bug.
     #[inline]
     fn assert_index_fresh(&self) {
         debug_assert!(
@@ -518,48 +520,14 @@ impl CapacityProfile {
     ///
     /// Returns the earliest overflow time on failure.
     pub fn allocate(&mut self, t0: Time, t1: Time, bw: Bandwidth) -> Result<(), Time> {
-        self.allocate_inner(t0, t1, bw, false)
-    }
-
-    /// [`allocate`](Self::allocate) without the index rebuild: marks the
-    /// index dirty instead. Batch callers must finish with
-    /// [`Self::commit_index`] before any indexed query runs.
-    pub(crate) fn allocate_deferred(
-        &mut self,
-        t0: Time,
-        t1: Time,
-        bw: Bandwidth,
-    ) -> Result<(), Time> {
-        self.allocate_inner(t0, t1, bw, true)
-    }
-
-    fn allocate_inner(
-        &mut self,
-        t0: Time,
-        t1: Time,
-        bw: Bandwidth,
-        deferred: bool,
-    ) -> Result<(), Time> {
         if let Err(msg) = Self::check_interval(t0, t1, bw) {
             panic!("CapacityProfile::allocate: {msg}");
         }
-        // Feasibility scan first so failure leaves the profile untouched.
-        // Deliberately linear over the breakpoint vector (not the index):
-        // it stays correct mid-batch while the index is dirty, and the
-        // subsequent splice is O(k) anyway.
-        if definitely_gt(self.alloc_at(t0) + bw, self.capacity) {
-            return Err(t0);
+        if let Some(at) = self.overflow_at(t0, t1, bw) {
+            return Err(at);
         }
-        let start = self.step_index(t0).map_or(0, |i| i + 1);
-        for p in &self.points[start..] {
-            if p.time >= t1 {
-                break;
-            }
-            if definitely_gt(p.alloc + bw, self.capacity) {
-                return Err(p.time);
-            }
-        }
-        self.apply_delta(t0, t1, bw, deferred);
+        self.apply_deferred(t0, t1, bw);
+        self.commit_index();
         Ok(())
     }
 
@@ -567,44 +535,46 @@ impl CapacityProfile {
     /// allocation would go negative — which means the release does not match
     /// a prior allocation.
     pub fn release(&mut self, t0: Time, t1: Time, bw: Bandwidth) -> Result<(), Time> {
-        self.release_inner(t0, t1, bw, false)
-    }
-
-    /// [`release`](Self::release) without the index rebuild (see
-    /// [`Self::allocate_deferred`]).
-    pub(crate) fn release_deferred(
-        &mut self,
-        t0: Time,
-        t1: Time,
-        bw: Bandwidth,
-    ) -> Result<(), Time> {
-        self.release_inner(t0, t1, bw, true)
-    }
-
-    fn release_inner(
-        &mut self,
-        t0: Time,
-        t1: Time,
-        bw: Bandwidth,
-        deferred: bool,
-    ) -> Result<(), Time> {
         if let Err(msg) = Self::check_interval(t0, t1, bw) {
             panic!("CapacityProfile::release: {msg}");
         }
-        if definitely_gt(bw - self.alloc_at(t0), 0.0) {
-            return Err(t0);
+        if let Some(at) = self.underflow_at(t0, t1, bw) {
+            return Err(at);
+        }
+        self.apply_deferred(t0, t1, -bw);
+        self.commit_index();
+        Ok(())
+    }
+
+    /// The earliest instant of `[t0, t1)` at which an extra `bw` would
+    /// exceed the capacity, if any — the check [`allocate`](Self::allocate)
+    /// runs before it edits. Deliberately linear over the breakpoint
+    /// vector (not the index): it stays correct mid-batch while the index
+    /// is dirty, and the splice that follows is `O(k)` anyway.
+    pub(crate) fn overflow_at(&self, t0: Time, t1: Time, bw: Bandwidth) -> Option<Time> {
+        self.first_step_where(t0, t1, |level| definitely_gt(level + bw, self.capacity))
+    }
+
+    /// The earliest instant of `[t0, t1)` at which taking `bw` off would
+    /// leave a negative level, if any — the check
+    /// [`release`](Self::release) runs before it edits (see
+    /// [`Self::overflow_at`]).
+    pub(crate) fn underflow_at(&self, t0: Time, t1: Time, bw: Bandwidth) -> Option<Time> {
+        self.first_step_where(t0, t1, |level| definitely_gt(bw - level, 0.0))
+    }
+
+    /// Start of the first step of `[t0, t1)` whose level satisfies `bad`
+    /// (`t0` itself for the step spanning it), by a linear scan.
+    fn first_step_where(&self, t0: Time, t1: Time, bad: impl Fn(f64) -> bool) -> Option<Time> {
+        if bad(self.alloc_at(t0)) {
+            return Some(t0);
         }
         let start = self.step_index(t0).map_or(0, |i| i + 1);
-        for p in &self.points[start..] {
-            if p.time >= t1 {
-                break;
-            }
-            if definitely_gt(bw - p.alloc, 0.0) {
-                return Err(p.time);
-            }
-        }
-        self.apply_delta(t0, t1, -bw, deferred);
-        Ok(())
+        self.points[start..]
+            .iter()
+            .take_while(|p| p.time < t1)
+            .find(|p| bad(p.alloc))
+            .map(|p| p.time)
     }
 
     /// Threshold below which an allocation level is floating-point residue
@@ -613,8 +583,12 @@ impl CapacityProfile {
     /// workloads generate (10 MB/s).
     const LEVEL_SNAP: f64 = 1e-9;
 
-    /// Unchecked signed adjustment of the level on `[t0, t1)`.
-    fn apply_delta(&mut self, t0: Time, t1: Time, delta: Bandwidth, deferred: bool) {
+    /// Unchecked signed adjustment of the level on `[t0, t1)`, leaving the
+    /// index stale: the caller has already run [`Self::overflow_at`] or
+    /// [`Self::underflow_at`], and must finish with
+    /// [`Self::commit_index`] before any indexed query runs.
+    pub(crate) fn apply_deferred(&mut self, t0: Time, t1: Time, delta: Bandwidth) {
+        debug_assert!(Self::check_interval(t0, t1, delta.abs()).is_ok());
         let i0 = self.ensure_breakpoint(t0);
         let i1 = self.ensure_breakpoint(t1);
         for p in &mut self.points[i0..i1] {
@@ -626,14 +600,10 @@ impl CapacityProfile {
         }
         self.canonicalize(i0, i1);
         self.debug_check();
-        if deferred {
-            // The prefix areas do not wait for the commit: `free_volume`
-            // rebuilds them from the breakpoints whenever they are gone.
-            self.index.area.take();
-            self.dirty = true;
-        } else {
-            self.rebuild_index();
-        }
+        // The prefix areas do not wait for the commit: `free_volume`
+        // rebuilds them from the breakpoints whenever they are gone.
+        self.index.area.take();
+        self.dirty = true;
     }
 
     fn debug_check(&self) {

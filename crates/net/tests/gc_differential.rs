@@ -31,8 +31,8 @@ fn jittered(g: u32, j: i32) -> f64 {
     g as f64 * 5.0 + j as f64 * (EPS / 2.0)
 }
 
-/// One workload op: reserve, cancel an earlier reservation, truncate one,
-/// or place a single-port hold.
+/// One workload op: reserve, cancel an earlier reservation, or place a
+/// single-port hold.
 #[derive(Debug, Clone)]
 enum Op {
     Reserve {
@@ -44,10 +44,6 @@ enum Op {
     },
     Cancel {
         idx: usize,
-    },
-    Truncate {
-        idx: usize,
-        new_end: f64,
     },
     Hold {
         ingress: bool,
@@ -69,7 +65,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
             let t1 = t0 + len as f64 * 5.0 + j as f64 * (EPS / 2.0);
             match kind {
                 0 => Op::Cancel { idx },
-                1 => Op::Truncate { idx, new_end: t1 },
                 2 => Op::Hold {
                     ingress: i % 2 == 0,
                     port: i,
@@ -96,12 +91,6 @@ fn build(ops: &[Op]) -> CapacityLedger {
                 if !issued.is_empty() {
                     let id = issued[idx % issued.len()];
                     let _ = ledger.cancel(id); // repeats fail harmlessly
-                }
-            }
-            Op::Truncate { idx, new_end } => {
-                if !issued.is_empty() {
-                    let id = issued[idx % issued.len()];
-                    let _ = ledger.truncate(id, new_end);
                 }
             }
             Op::Hold {

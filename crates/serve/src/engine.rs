@@ -1,6 +1,7 @@
 //! The single-writer admission engine.
 //!
-//! One thread owns the [`CapacityLedger`] and a [`WindowScheduler`];
+//! One thread owns the [`CapacityLedger`](gridband_net::CapacityLedger)
+//! and a [`WindowScheduler`];
 //! everything else talks to it through a bounded command channel. This is
 //! the daemon-shaped version of Algorithm 3: submissions received during
 //! one `t_step` interval are decided together at the interval boundary
@@ -27,7 +28,7 @@ use gridband_algos::WindowScheduler;
 use gridband_flex::FlexSpec;
 use gridband_net::units::EPS;
 use gridband_net::SegSpan;
-use gridband_net::{EgressId, PortRef, Route, Topology};
+use gridband_net::{EgressId, NetError, NetResult, PortRef, Route, Topology};
 use gridband_qos::{AcceptedTransfer, QosConfig, Redistributor};
 use gridband_sim::{AdmissionController, Decision};
 use gridband_store::{
@@ -747,14 +748,14 @@ impl EngineLoop {
         let (bw, finish) = (req.max_rate, t0 + duration);
         let msg = match self.pin_hold(txn, port, bw, t0, finish, expires) {
             None => return,
-            Some(true) => ServerMsg::HoldOpened {
+            Some(Ok(())) => ServerMsg::HoldOpened {
                 txn,
                 bw,
                 start: t0,
                 finish,
                 expires,
             },
-            Some(false) => deny(RejectReason::Saturated),
+            Some(refused) => deny(refusal_reason(refused)),
         };
         self.send_reply(&reply, msg);
     }
@@ -794,15 +795,16 @@ impl EngineLoop {
         }
         let port = PortRef::Out(EgressId(egress));
         let expires = self.st.now + self.config.hold_timeout;
-        if let Some(ok) = self.pin_hold(txn, port, bw, start, finish, expires) {
+        if let Some(placed) = self.pin_hold(txn, port, bw, start, finish, expires) {
+            let ok = placed.is_ok();
             self.send_reply(&reply, ServerMsg::HoldAck { txn, ok });
         }
     }
 
     /// Place a two-phase hold and log it before the caller replies: a
     /// crash after the reply must not forget capacity a peer was told is
-    /// pinned. `Some(fit)` says whether the hold fit; `None` means the log
-    /// write failed and the engine halts unreplied.
+    /// pinned. `Some(placed)` says whether the ledger took the hold;
+    /// `None` means the log write failed and the engine halts unreplied.
     fn pin_hold(
         &mut self,
         txn: u64,
@@ -811,13 +813,9 @@ impl EngineLoop {
         start: f64,
         finish: f64,
         expires: f64,
-    ) -> Option<bool> {
-        if self
-            .st
-            .place_hold(txn, port, bw, start, finish, expires)
-            .is_err()
-        {
-            return Some(false);
+    ) -> Option<NetResult<()>> {
+        if let Err(e) = self.st.place_hold(txn, port, bw, start, finish, expires) {
+            return Some(Err(e));
         }
         MetricsRegistry::inc(&self.metrics.holds_placed);
         let record = WalRecord::HoldPlace {
@@ -828,7 +826,7 @@ impl EngineLoop {
             finish,
             expires,
         };
-        self.log_event(record).then_some(true)
+        self.log_event(record).then_some(Ok(()))
     }
 
     /// Second phase. On commit the local hold stays charged on its port
@@ -1119,12 +1117,11 @@ impl EngineLoop {
                     self.round_replies.push((entry.reply.clone(), msg));
                     continue;
                 }
-                // The scheduler's scalar view disagreed with the profile at
-                // booking time: log and answer a saturation rejection in
-                // its place.
+                // The ledger refused the booking: log and answer a
+                // rejection in its place.
                 RoundDecision::Accept { .. } => {
                     self.round_log[i] = RoundDecision::Reject { id };
-                    RejectReason::Saturated
+                    refusal_reason(outcome)
                 }
                 _ if entry.req.required_rate_from(t).is_none() => RejectReason::DeadlineUnreachable,
                 _ => RejectReason::Saturated,
@@ -1499,6 +1496,16 @@ impl EngineLoop {
     }
 }
 
+/// The reject reason for a booking the ledger refused: a malformed grant
+/// (a window no longer than the ledger's time resolution) is `Invalid`,
+/// any other refusal a full port.
+fn refusal_reason(refused: NetResult<()>) -> RejectReason {
+    match refused {
+        Err(NetError::InvalidArgument(_)) => RejectReason::Invalid,
+        _ => RejectReason::Saturated,
+    }
+}
+
 /// `(start, end, peak rate, volume)` of a non-empty segment plan.
 fn plan_shape(plan: &[SegSpan]) -> (f64, f64, f64, f64) {
     let start = plan.first().map_or(0.0, |s| s.start);
@@ -1606,6 +1613,69 @@ mod tests {
             }
             other => panic!("expected rejection, got {other:?}"),
         }
+        engine.shutdown();
+    }
+
+    /// A grant shorter than the ledger's time resolution (1e-9 MB at
+    /// 100 MB/s lasts 1e-11 s) is refused by the ledger as `Invalid`. It
+    /// used to reach `CapacityProfile::allocate`'s interval check and
+    /// panic the engine thread, after which no request got a reply.
+    #[test]
+    fn sub_epsilon_grant_is_refused_as_invalid_not_fatal() {
+        let engine = engine_1x1(100.0, 10.0);
+        let d = rpc_all_no_drain(
+            &engine,
+            vec![
+                submit(1, 0.0, 1e-9, 100.0, 30.0),
+                submit(2, 12.0, 100.0, 100.0, 40.0),
+            ],
+            22.0,
+        );
+        assert!(
+            matches!(
+                d[0],
+                ServerMsg::Rejected {
+                    id: 1,
+                    reason: RejectReason::Invalid,
+                    ..
+                }
+            ),
+            "{:?}",
+            d[0]
+        );
+        assert!(
+            matches!(d[1], ServerMsg::Accepted { id: 2, .. }),
+            "{:?}",
+            d[1]
+        );
+        engine.shutdown();
+    }
+
+    /// The two-phase hold of a sub-ε window meets the same refusal.
+    #[test]
+    fn sub_epsilon_hold_is_refused_as_invalid_not_fatal() {
+        let engine = engine_1x1(100.0, 10.0);
+        let open = ClientMsg::HoldOpen(SubmitReq {
+            id: 1,
+            ingress: 0,
+            egress: 0,
+            volume: 1e-9,
+            max_rate: 100.0,
+            start: Some(0.0),
+            deadline: Some(30.0),
+            class: Default::default(),
+            malleable: None,
+        });
+        match rpc(&engine, open) {
+            ServerMsg::HoldDenied { txn: 1, reason } => assert_eq!(reason, RejectReason::Invalid),
+            other => panic!("expected a denied hold, got {other:?}"),
+        }
+        let d = rpc_all_no_drain(&engine, vec![submit(2, 0.0, 100.0, 100.0, 30.0)], 12.0);
+        assert!(
+            matches!(d[0], ServerMsg::Accepted { id: 2, .. }),
+            "{:?}",
+            d[0]
+        );
         engine.shutdown();
     }
 

@@ -6,26 +6,25 @@
 //! snapshots of its full state, and a recovery path that rebuilds the
 //! exact pre-crash engine:
 //!
-//! * [`dir`] — the [`Dir`](dir::Dir) filesystem abstraction. Production
-//!   uses [`FsDir`](dir::FsDir); tests use [`MemDir`](dir::MemDir),
+//! * [`dir`] — the [`Dir`] filesystem abstraction. Production uses
+//!   [`FsDir`]; tests use [`MemDir`],
 //!   which can cut writes mid-record to inject torn-write crashes.
 //! * [`wal`] — length-prefixed, CRC32-checksummed record framing and the
 //!   scan that classifies damage: a torn *tail* (incomplete record, or a
 //!   checksum mismatch on the final record) is dropped cleanly, while a
 //!   corrupt *mid-log* record fails with [`StoreError::Corrupt`] and its
 //!   exact byte offset.
-//! * [`store`] — [`Store`](store::Store): generation-numbered WAL +
+//! * [`store`] — [`Store`]: generation-numbered WAL +
 //!   snapshot files, fsync policies, and log truncation once a snapshot
 //!   is durable.
-//! * [`tail`] — [`WalTail`](tail::WalTail): a read-only cursor that
+//! * [`tail`] — [`WalTail`]: a read-only cursor that
 //!   tails a live store for newly installed snapshots and appended
 //!   records, tolerating in-flight torn tails; the primary-side source
 //!   of `gridband-replica`'s WAL shipping stream.
 //! * [`records`] — the typed payloads the serve engine logs: one
-//!   [`WalRecord::Round`](records::WalRecord::Round) per admission round
-//!   (its whole decision batch in one atomic record), plus cancels and
-//!   early rejects, and the [`EngineSnapshot`](records::EngineSnapshot)
-//!   state image.
+//!   [`WalRecord::Round`] per admission round (its whole decision batch
+//!   in one atomic record), plus cancels and early rejects, and the
+//!   [`EngineSnapshot`] state image.
 //!
 //! The correctness bar, proven by `gridband-serve`'s
 //! recovery-equivalence tests: a daemon killed at any round boundary or

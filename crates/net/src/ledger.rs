@@ -28,6 +28,13 @@
 //! checked against the ledger with the old plan already released, so a
 //! refusal restores clones of the two port profiles.
 //!
+//! **One reservation table.** Every live reservation, rigid or stepwise,
+//! is a [`Plan`] in one map ordered by id; a rigid plan is one span.
+//! Holds sit in a second ordered map. Every walk over either runs in
+//! ascending id order, the same in every process holding the same
+//! ledger, so the order of releases — the order of float operations on
+//! a profile — needs no sort.
+//!
 //! **Commit invariant.** `book` edits the breakpoint vectors and leaves
 //! the touched ports' query indexes stale, and every public method that
 //! books ends with the private `commit` — on the error paths too. No
@@ -41,7 +48,7 @@ use crate::profile::CapacityProfile;
 use crate::topology::Topology;
 use crate::units::{Bandwidth, Time, EPS};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Opaque handle to a live reservation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -146,26 +153,79 @@ pub struct SegmentedReservation {
     pub segments: Vec<SegSpan>,
 }
 
-impl SegmentedReservation {
-    /// Start of the first segment.
+/// A live reservation: a route charged on both ports with each of its
+/// spans. Chen & Primet model every reservation as a time–bandwidth
+/// profile; a rigid grant is the constant, one-span case, kept inline so
+/// walking the plan table reads its times without a pointer chase.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Plan {
+    /// One constant-rate span on a route, booked by
+    /// [`CapacityLedger::reserve`].
+    Rigid(Route, SegSpan),
+    /// Spans ascending and non-overlapping, never empty, on a route;
+    /// booked by [`CapacityLedger::reserve_segments`].
+    Stepwise(Route, Vec<SegSpan>),
+}
+
+impl Plan {
+    /// Whether the plan was booked by [`CapacityLedger::reserve`].
+    pub fn is_rigid(&self) -> bool {
+        matches!(self, Plan::Rigid(..))
+    }
+
+    /// The route both ends of which are charged by every span.
+    pub fn route(&self) -> Route {
+        match self {
+            Plan::Rigid(route, _) | Plan::Stepwise(route, _) => *route,
+        }
+    }
+
+    /// The booked spans, in order.
+    pub fn spans(&self) -> &[SegSpan] {
+        match self {
+            Plan::Rigid(_, span) => std::slice::from_ref(span),
+            Plan::Stepwise(_, spans) => spans,
+        }
+    }
+
+    /// Start of the first span.
     pub fn start(&self) -> Time {
-        self.segments.first().map_or(f64::INFINITY, |s| s.start)
+        self.spans().first().map_or(f64::INFINITY, |s| s.start)
     }
 
-    /// End of the last segment.
+    /// End of the last span.
     pub fn end(&self) -> Time {
-        self.segments.last().map_or(f64::NEG_INFINITY, |s| s.end)
+        self.spans().last().map_or(f64::NEG_INFINITY, |s| s.end)
     }
 
-    /// Total bandwidth-seconds booked at one endpoint — the transfer
-    /// volume the stepwise plan delivers.
-    pub fn volume(&self) -> f64 {
-        self.segments.iter().map(|s| s.area()).sum()
-    }
-
-    /// Highest per-segment rate of the plan.
+    /// Highest per-span rate of the plan.
     pub fn peak(&self) -> Bandwidth {
-        self.segments.iter().fold(0.0, |m, s| m.max(s.bw))
+        self.spans().iter().fold(0.0, |m, s| m.max(s.bw))
+    }
+
+    /// A rigid plan as the [`Reservation`] it was booked as.
+    fn reservation(&self) -> Reservation {
+        let (route, SegSpan { start, end, bw }) = (self.route(), self.spans()[0]);
+        Reservation {
+            route,
+            start,
+            end,
+            bw,
+        }
+    }
+
+    /// A stepwise plan as [`LedgerState::live_seg`] stores it.
+    fn segmented(&self) -> SegmentedReservation {
+        let (route, segments) = (self.route(), self.spans().to_vec());
+        SegmentedReservation { route, segments }
+    }
+
+    /// The plan's charges: every span on the ingress, then every span on
+    /// the egress — the order a refusal is reported in.
+    fn charges(&self) -> impl Iterator<Item = Charge> + Clone + '_ {
+        let on = |port: PortRef| self.spans().iter().map(move |s| (port, *s));
+        let [ingress, egress] = route_ports(self.route());
+        on(ingress).chain(on(egress))
     }
 }
 
@@ -177,14 +237,6 @@ type Charge = (PortRef, SegSpan);
 /// The two ports a route charges, ingress first.
 fn route_ports(route: Route) -> [PortRef; 2] {
     [PortRef::In(route.ingress), PortRef::Out(route.egress)]
-}
-
-/// The charges of a route plan: every span on the ingress, then every
-/// span on the egress — the order a refusal is reported in.
-fn route_charges(route: Route, spans: &[SegSpan]) -> impl Iterator<Item = Charge> + Clone + '_ {
-    let on = |port: PortRef| spans.iter().map(move |s| (port, *s));
-    let [ingress, egress] = route_ports(route);
-    on(ingress).chain(on(egress))
 }
 
 /// The ids of one exported table: strictly increasing, and below the
@@ -251,7 +303,7 @@ pub struct LedgerState {
     pub ingress: Vec<CapacityProfile>,
     /// Egress port profiles, in port order.
     pub egress: Vec<CapacityProfile>,
-    /// Live reservations as `(id, reservation)`, sorted by id.
+    /// Live rigid reservations as `(id, reservation)`, sorted by id.
     pub live: Vec<(u64, Reservation)>,
     /// Next reservation id the ledger will assign.
     pub next_id: u64,
@@ -289,13 +341,10 @@ pub struct CapacityLedger {
     topology: Topology,
     ingress: Vec<CapacityProfile>,
     egress: Vec<CapacityProfile>,
-    live: HashMap<u64, Reservation>,
-    /// Live segmented (malleable) reservations, sharing the id space of
-    /// `live` — a `BTreeMap` so GC sweeps and exports walk them in one
-    /// deterministic (ascending-id) order.
-    live_seg: std::collections::BTreeMap<u64, SegmentedReservation>,
+    /// Every live reservation, rigid and stepwise, by id.
+    plans: BTreeMap<u64, Plan>,
     next_id: u64,
-    holds: HashMap<u64, PortHold>,
+    holds: BTreeMap<u64, PortHold>,
     next_hold_id: u64,
     /// High-water mark of [`Self::gc`]; `-∞` until the first sweep. All
     /// history strictly before the *effective* truncation point derived
@@ -318,10 +367,9 @@ impl CapacityLedger {
             topology,
             ingress,
             egress,
-            live: HashMap::new(),
-            live_seg: std::collections::BTreeMap::new(),
+            plans: BTreeMap::new(),
             next_id: 0,
-            holds: HashMap::new(),
+            holds: BTreeMap::new(),
             next_hold_id: 0,
             watermark: f64::NEG_INFINITY,
         }
@@ -343,23 +391,32 @@ impl CapacityLedger {
         &self.egress[e.index()]
     }
 
-    /// Number of currently live reservations.
+    /// Number of currently live rigid reservations.
     pub fn live_count(&self) -> usize {
-        self.live.len()
+        self.live_reservations().count()
     }
 
-    /// Iterate over live reservations, in arbitrary order — one that
-    /// differs between two processes holding the same ledger. A caller
-    /// that releases what it finds must sort the ids first: the order of
-    /// releases is the order of float operations on a profile, and the
-    /// bits left behind depend on it.
-    pub fn live_reservations(&self) -> impl Iterator<Item = (ReservationId, &Reservation)> {
-        self.live.iter().map(|(&id, r)| (ReservationId(id), r))
+    /// Number of currently live plans, rigid and stepwise.
+    pub fn plan_count(&self) -> usize {
+        self.plans.len()
     }
 
-    /// Look up a live reservation.
-    pub fn get(&self, id: ReservationId) -> Option<&Reservation> {
-        self.live.get(&id.0)
+    /// Iterate over every live plan, rigid and stepwise, in ascending id
+    /// order — the same order in every process holding the same ledger,
+    /// so a caller may release what it finds in the order found.
+    pub fn plans(&self) -> impl Iterator<Item = (ReservationId, &Plan)> {
+        self.plans.iter().map(|(&id, p)| (ReservationId(id), p))
+    }
+
+    /// The rigid plans of [`plans`](Self::plans), in the same ascending
+    /// id order, as the reservations they were booked as.
+    pub fn live_reservations(&self) -> impl Iterator<Item = (ReservationId, Reservation)> + '_ {
+        (self.plans().filter(|(_, p)| p.is_rigid())).map(|(id, p)| (id, p.reservation()))
+    }
+
+    /// Look up a live rigid reservation.
+    pub fn get(&self, id: ReservationId) -> Option<Reservation> {
+        (self.plans.get(&id.0).filter(|p| p.is_rigid())).map(Plan::reservation)
     }
 
     /// The one shape check: every booking passes it before it reaches a
@@ -534,15 +591,16 @@ impl CapacityLedger {
         Ok(())
     }
 
-    /// Validate and book a plan on both ports of `route`, and take the
-    /// next reservation id for it — the rigid and the stepwise booking
-    /// alike.
-    fn book_route(&mut self, route: Route, spans: &[SegSpan]) -> NetResult<u64> {
-        self.validate(&route_ports(route), spans)?;
-        self.book(route_charges(route, spans), Edit::Charge)?;
+    /// Validate and book a plan on both ports of its route, and file it
+    /// under the next reservation id — the rigid and the stepwise
+    /// booking alike.
+    fn book_plan(&mut self, plan: Plan) -> NetResult<ReservationId> {
+        self.validate(&route_ports(plan.route()), plan.spans())?;
+        self.book(plan.charges(), Edit::Charge)?;
         let id = self.next_id;
         self.next_id += 1;
-        Ok(id)
+        self.plans.insert(id, plan);
+        Ok(ReservationId(id))
     }
 
     fn reserve_deferred(
@@ -552,15 +610,7 @@ impl CapacityLedger {
         end: Time,
         bw: Bandwidth,
     ) -> NetResult<ReservationId> {
-        let r = Reservation {
-            route,
-            start,
-            end,
-            bw,
-        };
-        let id = self.book_route(route, &[r.span()])?;
-        self.live.insert(id, r);
-        Ok(ReservationId(id))
+        self.book_plan(Plan::Rigid(route, SegSpan { start, end, bw }))
     }
 
     /// Atomically book a stepwise plan on both endpoints of `route`:
@@ -577,34 +627,18 @@ impl CapacityLedger {
         route: Route,
         segments: &[SegSpan],
     ) -> NetResult<ReservationId> {
-        let id = self.book_route(route, segments);
+        let id = self.book_plan(Plan::Stepwise(route, segments.to_vec()));
         self.commit();
-        let id = id?;
-        let segments = segments.to_vec();
-        self.live_seg
-            .insert(id, SegmentedReservation { route, segments });
-        Ok(ReservationId(id))
+        id
     }
 
     /// Cancel a live segmented reservation, freeing every segment's
-    /// capacity on both ports. Like [`cancel`](Self::cancel), a failing
-    /// release (corrupted profile) leaves the ledger unchanged, bit for
-    /// bit.
+    /// capacity on both ports: [`free`](Self::free), refused for an id
+    /// that is not a live stepwise plan.
     pub fn cancel_segments(&mut self, id: ReservationId) -> NetResult<SegmentedReservation> {
-        let out = self.cancel_segments_deferred(id);
+        let out = self.free_deferred(id, |p| !p.is_rigid());
         self.commit();
-        out
-    }
-
-    fn cancel_segments_deferred(&mut self, id: ReservationId) -> NetResult<SegmentedReservation> {
-        let r = self
-            .live_seg
-            .get(&id.0)
-            .ok_or(NetError::UnknownReservation(id.0))?
-            .clone();
-        self.book(route_charges(r.route, &r.segments), Edit::Free)?;
-        self.live_seg.remove(&id.0);
-        Ok(r)
+        out.map(|p| p.segmented())
     }
 
     /// Atomically replace a live segmented reservation's plan with
@@ -616,13 +650,8 @@ impl CapacityLedger {
     /// (and every profile byte) untouched, and capacity freed by the old
     /// plan is never observable unless the new plan is granted.
     pub fn amend_segments(&mut self, id: ReservationId, new_segments: &[SegSpan]) -> NetResult<()> {
-        let (route, old_segments) = {
-            let r = self
-                .live_seg
-                .get(&id.0)
-                .ok_or(NetError::UnknownReservation(id.0))?;
-            (r.route, r.segments.clone())
-        };
+        let plan = (self.get_segments(id)).ok_or(NetError::UnknownReservation(id.0))?;
+        let (route, old_segments) = (plan.route(), plan.spans().to_vec());
         let ports = route_ports(route);
         self.validate(&ports, new_segments)?;
         // Span by span, ingress then egress: the order a refusal is
@@ -646,26 +675,19 @@ impl CapacityLedger {
             return Err(e);
         }
         self.commit();
-        self.live_seg
-            .get_mut(&id.0)
-            .expect("checked above")
-            .segments = new_segments.to_vec();
+        self.plans
+            .insert(id.0, Plan::Stepwise(route, new_segments.to_vec()));
         Ok(())
     }
 
     /// Look up a live segmented reservation.
-    pub fn get_segments(&self, id: ReservationId) -> Option<&SegmentedReservation> {
-        self.live_seg.get(&id.0)
+    pub fn get_segments(&self, id: ReservationId) -> Option<&Plan> {
+        self.plans.get(&id.0).filter(|p| !p.is_rigid())
     }
 
     /// Number of currently live segmented reservations.
     pub fn seg_count(&self) -> usize {
-        self.live_seg.len()
-    }
-
-    /// Iterate over live segmented reservations in ascending-id order.
-    pub fn live_segmented(&self) -> impl Iterator<Item = (ReservationId, &SegmentedReservation)> {
-        self.live_seg.iter().map(|(&id, r)| (ReservationId(id), r))
+        self.plans.len() - self.live_count()
     }
 
     /// Residual volume a route could still carry over `[t0, t1)`: the
@@ -679,27 +701,36 @@ impl CapacityLedger {
             .min(self.egress[route.egress.index()].free_volume(t0, t1))
     }
 
-    /// Cancel a live reservation, freeing its capacity on both ports.
+    /// Free a live plan of either kind, releasing every span's capacity
+    /// on both ports.
     ///
     /// A failing release (possible only if a port profile was corrupted
     /// behind the ledger's back) leaves the ledger unchanged, bit for bit:
-    /// the reservation stays live and neither port is released, so
-    /// capacity is never charged for a reservation the ledger has
-    /// forgotten.
-    pub fn cancel(&mut self, id: ReservationId) -> NetResult<Reservation> {
-        let out = self.cancel_deferred(id);
+    /// the plan stays live and neither port is released, so capacity is
+    /// never charged for a reservation the ledger has forgotten.
+    pub fn free(&mut self, id: ReservationId) -> NetResult<Plan> {
+        let out = self.free_deferred(id, |_| true);
         self.commit();
         out
     }
 
-    fn cancel_deferred(&mut self, id: ReservationId) -> NetResult<Reservation> {
-        let r = *self
-            .live
-            .get(&id.0)
+    /// [`free`](Self::free) without the commit, refused unless `which`
+    /// accepts the plan under `id`.
+    fn free_deferred(&mut self, id: ReservationId, which: fn(&Plan) -> bool) -> NetResult<Plan> {
+        let p = (self.plans.get(&id.0).filter(|p| which(p)).cloned())
             .ok_or(NetError::UnknownReservation(id.0))?;
-        self.book(route_charges(r.route, &[r.span()]), Edit::Free)?;
-        self.live.remove(&id.0);
-        Ok(r)
+        self.book(p.charges(), Edit::Free)?;
+        self.plans.remove(&id.0);
+        Ok(p)
+    }
+
+    /// Cancel a live rigid reservation, freeing its capacity on both
+    /// ports: [`free`](Self::free), refused for an id that is not a live
+    /// rigid plan.
+    pub fn cancel(&mut self, id: ReservationId) -> NetResult<Reservation> {
+        let out = self.free_deferred(id, Plan::is_rigid);
+        self.commit();
+        out.map(|p| p.reservation())
     }
 
     /// Free a whole batch of live entries: each one is released with
@@ -718,10 +749,13 @@ impl CapacityLedger {
     pub fn release_all(&mut self, batch: &[ReleaseRequest]) -> Vec<NetResult<()>> {
         let out = batch
             .iter()
-            .map(|&r| match r {
-                ReleaseRequest::Reservation(id) => self.cancel_deferred(id).map(drop),
-                ReleaseRequest::Segments(id) => self.cancel_segments_deferred(id).map(drop),
-                ReleaseRequest::Hold(id) => self.release_hold_deferred(id).map(drop),
+            .map(|&r| {
+                let (id, which): (_, fn(&Plan) -> bool) = match r {
+                    ReleaseRequest::Reservation(id) => (id, Plan::is_rigid),
+                    ReleaseRequest::Segments(id) => (id, |p| !p.is_rigid()),
+                    ReleaseRequest::Hold(id) => return self.release_hold_deferred(id).map(drop),
+                };
+                self.free_deferred(id, which).map(drop)
             })
             .collect();
         self.commit();
@@ -731,11 +765,6 @@ impl CapacityLedger {
     /// Number of currently live holds.
     pub fn hold_count(&self) -> usize {
         self.holds.len()
-    }
-
-    /// Iterate over live holds (arbitrary order).
-    pub fn live_holds(&self) -> impl Iterator<Item = (HoldId, &PortHold)> {
-        self.holds.iter().map(|(&id, h)| (HoldId(id), h))
     }
 
     /// Look up a live hold.
@@ -807,8 +836,8 @@ impl CapacityLedger {
             .sum()
     }
 
-    /// Collect everything that is fully in the past: reservations and
-    /// holds whose end is at or before `watermark` leave the live tables,
+    /// Collect everything that is fully in the past: plans and holds
+    /// whose end is at or before `watermark` leave the live tables,
     /// and every port profile drops its breakpoints before the *effective
     /// truncation point* — `min(watermark, earliest start of any surviving
     /// reservation or hold)`. Capping the truncation at the earliest
@@ -826,6 +855,10 @@ impl CapacityLedger {
     /// truncation point survives, materializing phantom capacity (see the
     /// `gc_epsilon_edge_*` regression tests).
     ///
+    /// Expired entries are released rigid plans first, then stepwise ones,
+    /// then holds, each kind by ascending id: the order of releases is the
+    /// order of float operations on a profile, and replay needs it fixed.
+    ///
     /// Watermarks only move forward: a non-finite watermark or one at or
     /// below the previous sweep's is a no-op. Every query (`max_alloc`,
     /// `fits`, `min_free`, `earliest_fit`, both indexed and `*_linear`)
@@ -838,57 +871,29 @@ impl CapacityLedger {
         }
         self.watermark = watermark;
         let mut cut = watermark;
-        for r in self.live.values() {
-            if r.end > watermark {
-                cut = cut.min(r.start);
+        let (mut rigid, mut stepwise, mut holds) = (Vec::new(), Vec::new(), Vec::new());
+        for (&id, p) in &self.plans {
+            if p.end() > watermark {
+                cut = cut.min(p.start());
+            } else if p.is_rigid() {
+                rigid.push(id);
+            } else {
+                stepwise.push(id);
             }
         }
-        for r in self.live_seg.values() {
-            if r.end() > watermark {
-                cut = cut.min(r.start());
-            }
-        }
-        for h in self.holds.values() {
+        for (&id, h) in &self.holds {
             if h.end > watermark {
                 cut = cut.min(h.start);
+            } else {
+                holds.push(id);
             }
         }
-        // Expired entries in ascending id order: the order of the releases
-        // below fixes the order of float operations on each profile, and
-        // replay equivalence needs it deterministic.
-        let mut expired: Vec<u64> = self
-            .live
-            .iter()
-            .filter(|(_, r)| r.end <= watermark)
-            .map(|(&id, _)| id)
-            .collect();
-        expired.sort_unstable();
-        for id in expired {
-            let r = self.live.remove(&id).expect("selected above");
-            self.free_past(cut, route_charges(r.route, &[r.span()]));
+        for id in rigid.into_iter().chain(stepwise) {
+            let p = self.plans.remove(&id).expect("selected above");
+            self.free_past(cut, p.charges());
             stats.reservations_collected += 1;
         }
-        // Expired segmented reservations, also ascending by id (BTreeMap
-        // iteration order).
-        let expired_seg: Vec<u64> = self
-            .live_seg
-            .iter()
-            .filter(|(_, r)| r.end() <= watermark)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in expired_seg {
-            let r = self.live_seg.remove(&id).expect("selected above");
-            self.free_past(cut, route_charges(r.route, &r.segments));
-            stats.reservations_collected += 1;
-        }
-        let mut expired_holds: Vec<u64> = self
-            .holds
-            .iter()
-            .filter(|(_, h)| h.end <= watermark)
-            .map(|(&id, _)| id)
-            .collect();
-        expired_holds.sort_unstable();
-        for id in expired_holds {
+        for id in holds {
             let h = self.holds.remove(&id).expect("selected above");
             self.free_past(cut, std::iter::once(h.charge()));
             stats.holds_collected += 1;
@@ -927,32 +932,26 @@ impl CapacityLedger {
     /// Export the ledger's full state for snapshotting: every port
     /// profile verbatim (so a restore is bit-identical — *not* rebuilt
     /// by replaying reservations, whose float-addition order would
-    /// differ), the live reservation table sorted by id, and the id
-    /// counter.
+    /// differ), the plan table split by kind into `live` and `live_seg`
+    /// (`None` when no stepwise plan is live), the holds, and the id
+    /// counters. Every list comes out in id order, as the tables hold it.
     pub fn export_state(&self) -> LedgerState {
-        let mut live: Vec<(u64, Reservation)> = self.live.iter().map(|(&id, &r)| (id, r)).collect();
-        live.sort_by_key(|&(id, _)| id);
-        let mut holds: Vec<(u64, PortHold)> = self.holds.iter().map(|(&id, &h)| (id, h)).collect();
-        holds.sort_by_key(|&(id, _)| id);
-        let live_seg = if self.live_seg.is_empty() {
-            None
-        } else {
-            Some(
-                self.live_seg
-                    .iter()
-                    .map(|(&id, r)| (id, r.clone()))
-                    .collect(),
-            )
-        };
+        let (mut live, mut live_seg) = (Vec::new(), Vec::new());
+        for (&id, p) in &self.plans {
+            match p {
+                Plan::Rigid(..) => live.push((id, p.reservation())),
+                Plan::Stepwise(..) => live_seg.push((id, p.segmented())),
+            }
+        }
         LedgerState {
             ingress: self.ingress.clone(),
             egress: self.egress.clone(),
             live,
             next_id: self.next_id,
-            holds,
+            holds: self.holds.iter().map(|(&id, &h)| (id, h)).collect(),
             next_hold_id: self.next_hold_id,
             watermark: self.watermark(),
-            live_seg,
+            live_seg: (!live_seg.is_empty()).then_some(live_seg),
         }
     }
 
@@ -960,9 +959,10 @@ impl CapacityLedger {
     ///
     /// The image is validated before anything is touched — on error the
     /// ledger is unchanged. Checks: profile vectors match the topology's
-    /// port counts and capacities; the ids of each table (rigid,
+    /// port counts and capacities; the ids of each list (rigid,
     /// segmented, holds) are strictly increasing and below their
-    /// counter, and no id is both rigid and segmented; every entry passes
+    /// counter, and no id is both rigid and segmented (the two lists fill
+    /// one plan table); every entry passes
     /// the shape check a booking passes (ports inside the topology, spans
     /// finite, longer than ε, positive-rate and in order); and, per port,
     /// the profile's integral equals the summed area of every span the
@@ -1004,12 +1004,18 @@ impl CapacityLedger {
                 )));
             }
         }
-        let seg_entries: &[(u64, SegmentedReservation)] = state.live_seg.as_deref().unwrap_or(&[]);
+        let seg_entries = state.live_seg.unwrap_or_default();
         check_ids("live reservations", &state.live, state.next_id)?;
-        check_ids("segmented reservations", seg_entries, state.next_id)?;
+        check_ids("segmented reservations", &seg_entries, state.next_id)?;
         check_ids("live holds", &state.holds, state.next_hold_id)?;
-        for (id, _) in seg_entries {
-            if state.live.binary_search_by_key(id, |&(rid, _)| rid).is_ok() {
+        let mut plans: BTreeMap<u64, Plan> = (state.live.iter())
+            .map(|&(id, r)| (id, Plan::Rigid(r.route, r.span())))
+            .collect();
+        for (id, r) in seg_entries {
+            if plans
+                .insert(id, Plan::Stepwise(r.route, r.segments))
+                .is_some()
+            {
                 return Err(NetError::InvalidArgument(format!(
                     "reservation #{id} is both rigid and segmented"
                 )));
@@ -1032,11 +1038,8 @@ impl CapacityLedger {
             }
             Ok(())
         };
-        for (_, r) in &state.live {
-            owe(&route_ports(r.route), &[r.span()])?;
-        }
-        for (_, r) in seg_entries {
-            owe(&route_ports(r.route), &r.segments)?;
+        for p in plans.values() {
+            owe(&route_ports(p.route()), p.spans())?;
         }
         for (_, h) in &state.holds {
             owe(&[h.port], &[h.charge().1])?;
@@ -1066,8 +1069,7 @@ impl CapacityLedger {
         }
         self.ingress = state.ingress;
         self.egress = state.egress;
-        self.live = state.live.into_iter().collect();
-        self.live_seg = state.live_seg.unwrap_or_default().into_iter().collect();
+        self.plans = plans;
         self.next_id = state.next_id;
         self.holds = state.holds.into_iter().collect();
         self.next_hold_id = state.next_hold_id;
@@ -1167,7 +1169,8 @@ mod tests {
         assert_eq!(l.egress_profile(EgressId(1)).alloc_at(10.0), 50.0);
         assert_eq!(l.seg_count(), 1);
         let r = l.get_segments(id).unwrap();
-        assert_eq!(r.volume(), 20.0 * 4.0 + 80.0 * 2.0 + 50.0 * 3.0);
+        let volume: f64 = r.spans().iter().map(SegSpan::area).sum();
+        assert_eq!(volume, 20.0 * 4.0 + 80.0 * 2.0 + 50.0 * 3.0);
         assert_eq!(r.peak(), 80.0);
         assert_eq!((r.start(), r.end()), (0.0, 12.0));
         // Cancel releases everything.
@@ -1251,8 +1254,9 @@ mod tests {
         assert_eq!(l.ingress_profile(IngressId(0)).alloc_at(6.0), 50.0);
         assert_eq!(l.ingress_profile(IngressId(0)).alloc_at(9.0), 0.0);
         let r = l.get_segments(id).unwrap();
-        assert_eq!(r.segments.len(), 2);
-        assert_eq!(r.volume(), 30.0 * 5.0 + 50.0 * 3.0);
+        assert_eq!(r.spans().len(), 2);
+        let volume: f64 = r.spans().iter().map(SegSpan::area).sum();
+        assert_eq!(volume, 30.0 * 5.0 + 50.0 * 3.0);
     }
 
     #[test]
@@ -1278,7 +1282,7 @@ mod tests {
         assert_eq!(l.ingress_profile(IngressId(0)), &before_in);
         assert_eq!(l.egress_profile(EgressId(0)), &before_eg);
         let r = l.get_segments(id).unwrap();
-        assert_eq!(r.segments, vec![seg(0.1, 3.3, 29.7), seg(3.3, 7.7, 11.1)]);
+        assert_eq!(r.spans(), vec![seg(0.1, 3.3, 29.7), seg(3.3, 7.7, 11.1)]);
         // Amending an unknown id is an error.
         assert!(matches!(
             l.amend_segments(ReservationId(999), &[seg(0.0, 1.0, 1.0)]),

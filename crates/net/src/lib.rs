@@ -52,7 +52,7 @@ pub mod units;
 
 pub use error::{NetError, NetResult};
 pub use ledger::{
-    CapacityLedger, GcStats, HoldId, LedgerState, PortHold, ReleaseRequest, Reservation,
+    CapacityLedger, GcStats, HoldId, LedgerState, Plan, PortHold, ReleaseRequest, Reservation,
     ReservationId, ReserveRequest, SegSpan, SegmentedReservation,
 };
 pub use port::{Direction, EgressId, IngressId, Port, PortRef, Route};

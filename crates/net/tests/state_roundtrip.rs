@@ -5,12 +5,16 @@
 //! rides on this being bit-identical, not merely approximately equal.
 
 use gridband_net::{
-    CapacityLedger, EgressId, IngressId, LedgerState, ReservationId, Route, Topology,
+    CapacityLedger, EgressId, HoldId, IngressId, LedgerState, PortRef, ReservationId, Route,
+    SegSpan, Topology,
 };
 use proptest::prelude::*;
 
-/// One workload op: reserve (route, window, bw) or cancel an earlier
-/// reservation (by index into the ids issued so far).
+/// One workload op: a rigid reservation (route, window, bw), a
+/// two-step segmented plan on the same parameters, a hold of the window
+/// on one port, or the release of something booked earlier (by index
+/// into the handles issued so far). Every table of the exported image
+/// is therefore exercised.
 #[derive(Debug, Clone)]
 enum Op {
     Reserve {
@@ -20,26 +24,52 @@ enum Op {
         len: f64,
         bw: f64,
     },
+    ReserveSegments {
+        i: u32,
+        e: u32,
+        t0: f64,
+        len: f64,
+        bw: f64,
+    },
+    Hold {
+        port: PortRef,
+        t0: f64,
+        len: f64,
+        bw: f64,
+    },
     Cancel {
         idx: usize,
     },
 }
 
+/// A handle `build` booked, with the call that frees it.
+#[derive(Debug, Clone, Copy)]
+enum Issued {
+    Rigid(ReservationId),
+    Segmented(ReservationId),
+    Hold(HoldId),
+}
+
 fn arb_op() -> impl Strategy<Value = Op> {
     // The shim has no `prop_oneof`; a leading discriminant weights the
-    // choice 4:1 reserve-to-cancel.
-    (0u32..5, 0u32..3, 0u32..3, 0u32..40, 1u32..30, 0.1f64..45.0).prop_map(
+    // choice 4:2:1:1 reserve, segmented plan, hold and cancel.
+    (0u32..8, 0u32..3, 0u32..3, 0u32..40, 1u32..30, 0.1f64..45.0).prop_map(
         |(kind, i, e, t0, len, bw)| {
-            if kind == 0 {
-                Op::Cancel { idx: t0 as usize }
-            } else {
-                Op::Reserve {
-                    i,
-                    e,
-                    t0: t0 as f64 * 2.5,
-                    len: len as f64 * 2.5,
+            let (t0, len) = (t0 as f64 * 2.5, len as f64 * 2.5);
+            match kind {
+                0 => Op::Cancel { idx: t0 as usize },
+                1 => Op::Hold {
+                    port: if e % 2 == 0 {
+                        PortRef::In(IngressId(i))
+                    } else {
+                        PortRef::Out(EgressId(i))
+                    },
+                    t0,
+                    len,
                     bw,
-                }
+                },
+                2 | 3 => Op::ReserveSegments { i, e, t0, len, bw },
+                _ => Op::Reserve { i, e, t0, len, bw },
             }
         },
     )
@@ -47,18 +77,45 @@ fn arb_op() -> impl Strategy<Value = Op> {
 
 fn build(ops: &[Op]) -> CapacityLedger {
     let mut ledger = CapacityLedger::new(Topology::uniform(3, 3, 100.0));
-    let mut issued: Vec<ReservationId> = Vec::new();
+    let mut issued: Vec<Issued> = Vec::new();
     for op in ops {
         match *op {
             Op::Reserve { i, e, t0, len, bw } => {
                 if let Ok(id) = ledger.reserve(Route::new(i, e), t0, t0 + len, bw) {
-                    issued.push(id);
+                    issued.push(Issued::Rigid(id));
+                }
+            }
+            Op::ReserveSegments { i, e, t0, len, bw } => {
+                // A full-rate step, an idle gap, then a half-rate step.
+                let plan = [
+                    SegSpan {
+                        start: t0,
+                        end: t0 + len,
+                        bw,
+                    },
+                    SegSpan {
+                        start: t0 + len + 2.5,
+                        end: t0 + 2.0 * len + 2.5,
+                        bw: bw / 2.0,
+                    },
+                ];
+                if let Ok(id) = ledger.reserve_segments(Route::new(i, e), &plan) {
+                    issued.push(Issued::Segmented(id));
+                }
+            }
+            Op::Hold { port, t0, len, bw } => {
+                if let Ok(id) = ledger.hold(port, t0, t0 + len, bw) {
+                    issued.push(Issued::Hold(id));
                 }
             }
             Op::Cancel { idx } => {
                 if !issued.is_empty() {
-                    let id = issued[idx % issued.len()];
-                    let _ = ledger.cancel(id); // repeats fail harmlessly
+                    // Repeats fail harmlessly.
+                    let _ = match issued[idx % issued.len()] {
+                        Issued::Rigid(id) => ledger.cancel(id).map(drop),
+                        Issued::Segmented(id) => ledger.cancel_segments(id).map(drop),
+                        Issued::Hold(id) => ledger.release_hold(id).map(drop),
+                    };
                 }
             }
         }
@@ -95,6 +152,9 @@ proptest! {
             );
         }
         prop_assert_eq!(restored.live_count(), original.live_count());
+        // The restored ledger exports the very image it was built from,
+        // every table split and ordered as before.
+        prop_assert_eq!(&restored.export_state(), &state);
 
         // ...and so are the indexed queries schedulers actually ask.
         for &(t0, len, bw) in &probes {

@@ -131,9 +131,9 @@ impl FollowerCore {
         self.state.now
     }
 
-    /// Live reservations in the standby ledger.
+    /// Live reservations in the standby ledger, rigid and segmented.
     pub fn live_count(&self) -> u64 {
-        self.state.ledger.live_count() as u64
+        self.state.ledger.plan_count() as u64
     }
 
     /// Lifecycle state of a request id, as the standby knows it.

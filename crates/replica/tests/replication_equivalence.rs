@@ -370,6 +370,11 @@ fn replicate(
             }
             if to_follower.is_empty() {
                 if shipper.subscribed() && shipper.position() == Some(follower.cursor()) {
+                    // The follower's live-reservation gauge counts every
+                    // plan its ledger holds, rigid and segmented alike.
+                    let ledger = follower.export().ledger;
+                    let plans = ledger.live.len() + ledger.live_seg.map_or(0, |s| s.len());
+                    assert_eq!(follower.live_count(), plans as u64);
                     return (sm, fm);
                 }
                 for f in inj.push(&encode_frame(&shipper.tick())) {

@@ -514,7 +514,7 @@ impl EngineLoop {
             ClientMsg::Stats => {
                 let snap = self.metrics.snapshot(
                     (self.pending.len() + self.pending_flex.len()) as u64,
-                    (self.st.ledger.live_count() + self.st.ledger.seg_count()) as u64,
+                    self.st.ledger.plan_count() as u64,
                     self.st.now,
                 );
                 self.send_reply(&reply, ServerMsg::Stats(snap));
@@ -1172,7 +1172,7 @@ impl EngineLoop {
             self.st
                 .ledger
                 .get_segments(rid)
-                .map(|r| (rid, r.route, r.segments.clone()))
+                .map(|r| (rid, r.route(), r.spans().to_vec()))
         });
         // The reservation may have expired (or been cancelled) between
         // the queueing and the deciding round.

@@ -17,8 +17,8 @@
 use std::collections::{BTreeMap, HashMap};
 
 use gridband_net::{
-    CapacityLedger, HoldId, NetError, NetResult, PortHold, PortRef, ReleaseRequest, ReservationId,
-    ReserveRequest, Route, Topology,
+    CapacityLedger, HoldId, NetError, NetResult, Plan, PortHold, PortRef, ReleaseRequest,
+    ReservationId, ReserveRequest, Route, Topology,
 };
 use gridband_store::{
     snap_name, wal_name, EngineSnapshot, HoldState, RequestOutcome, RoundDecision, StoreError,
@@ -450,8 +450,7 @@ impl EngineState {
                     // Booked before it is freed, so reservation ids stay
                     // in step with the round that logged it.
                     Some(Ok(rid)) if cancelled => {
-                        let _ = self.ledger.cancel(rid).is_ok()
-                            || self.ledger.cancel_segments(rid).is_ok();
+                        let _ = self.ledger.free(rid);
                         ReqState::Cancelled
                     }
                     Some(Ok(rid)) => {
@@ -480,22 +479,15 @@ impl EngineState {
     /// profile: rigid reservations by ascending id, then segmented ones
     /// by ascending id, then holds by ascending txn.
     pub fn gc_expired(&mut self, t: f64) -> GcSweep {
-        // The rigid table iterates in a per-process random order.
-        let mut rigid: Vec<ReservationId> = self
-            .ledger
-            .live_reservations()
-            .filter(|(_, r)| r.end <= t)
-            .map(|(id, _)| id)
-            .collect();
-        rigid.sort_unstable();
-        // Segmented (malleable) reservations age out the same way once
-        // their last segment ends.
-        let segmented: Vec<ReservationId> = self
-            .ledger
-            .live_segmented()
-            .filter(|(_, r)| r.end() <= t)
-            .map(|(id, _)| id)
-            .collect();
+        // A plan ages out once its last span ends; the ledger walks its
+        // plans in ascending id order.
+        let (mut rigid, mut segmented) = (Vec::new(), Vec::new());
+        for (rid, p) in self.ledger.plans().filter(|(_, p)| p.end() <= t) {
+            match p {
+                Plan::Rigid(..) => rigid.push(rid),
+                Plan::Stepwise(..) => segmented.push(rid),
+            }
+        }
         // Holds whose window has fully passed are equally dead weight,
         // committed or not.
         let ended: Vec<u64> = self
@@ -550,17 +542,9 @@ impl EngineState {
     /// for the degenerate `gc_horizon = 0` case, keeping `accepted_res`
     /// and `res_owner` from pointing at collected reservations.
     pub fn apply_gc(&mut self, watermark: f64) -> gridband_net::GcStats {
-        let stale: Vec<u64> = self
-            .ledger
-            .live_reservations()
-            .filter(|(_, r)| r.end <= watermark)
+        let stale: Vec<u64> = (self.ledger.plans())
+            .filter(|(_, p)| p.end() <= watermark)
             .map(|(id, _)| id.0)
-            .chain(
-                self.ledger
-                    .live_segmented()
-                    .filter(|(_, r)| r.end() <= watermark)
-                    .map(|(id, _)| id.0),
-            )
             .collect();
         for rid in stale {
             if let Some(owner) = self.res_owner.remove(&rid) {
@@ -689,7 +673,7 @@ impl EngineState {
             return false;
         };
         self.res_owner.remove(&rid.0);
-        if self.ledger.cancel(rid).is_ok() || self.ledger.cancel_segments(rid).is_ok() {
+        if self.ledger.free(rid).is_ok() {
             self.record_state(id, ReqState::Cancelled);
             true
         } else {

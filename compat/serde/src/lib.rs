@@ -20,7 +20,9 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
-pub use serde_derive::{Deserialize, Serialize};
+// `Wire` derives `gridband_serve::wire::Wire`, the daemon's binary codec;
+// it rides here so that no crate depends on the proc-macro directly.
+pub use serde_derive::{Deserialize, Serialize, Wire};
 
 /// A JSON number: unsigned, signed, or floating point.
 #[derive(Debug, Clone, Copy)]

@@ -12,6 +12,10 @@
 //! restarted daemon recovers its exact pre-crash commitments — see the
 //! recovery-equivalence tests in `tests/`.
 
+// `#[derive(Wire)]` names the trait as `::gridband_serve::wire::Wire`,
+// which must resolve inside this crate too.
+extern crate self as gridband_serve;
+
 pub mod engine;
 mod history;
 pub mod metrics;

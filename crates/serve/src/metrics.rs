@@ -8,6 +8,7 @@ use std::time::{Duration, Instant};
 
 use crate::protocol::{ServiceClass, PROTOCOL_VERSION};
 use crate::state::ReplayTally;
+use crate::wire::Wire;
 
 /// Which replication role this daemon is playing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -176,7 +177,7 @@ impl LatencyHistogram {
 }
 
 /// Point-in-time view of one latency histogram.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize, Wire)]
 pub struct LatencySnapshot {
     /// Samples recorded.
     pub count: u64,

@@ -14,18 +14,25 @@
 //! the same `[len][crc32][payload]` discipline (and the same IEEE CRC,
 //! [`gridband_store::crc32`]) the WAL uses on disk, so a torn or
 //! bit-flipped frame is detected rather than decoded. Client payloads
-//! open with a version byte ([`WIRE_VERSION`]) and a message tag;
-//! server payloads open with a tag. All integers are little-endian;
-//! `f64` travels as its IEEE-754 bit pattern, so values round-trip
-//! bit-for-bit — the loopback differential test relies on that to prove
-//! the two codecs yield byte-identical decisions.
+//! open with a version byte ([`WIRE_VERSION`]); server payloads do not.
+//! The rest is one message laid out by `#[derive(Wire)]` from its type
+//! (see [`Wire`]): the tag byte is the variant's index in the enum's
+//! declaration, the fields follow in declaration order, and a field
+//! marked `#[wire(trailing)]` may be missing from an older frame. All
+//! integers are little-endian; `f64` travels as its IEEE-754 bit
+//! pattern, so values round-trip bit-for-bit — the loopback differential
+//! test relies on that to prove the two codecs yield byte-identical
+//! decisions.
 //!
 //! Decoding is total: any byte sequence either yields a message or a
 //! [`WireError`]; nothing panics and nothing allocates beyond the
-//! declared frame length (bounded by [`MAX_FRAME`]).
+//! declared frame length (bounded by [`MAX_FRAME`]), since a count is
+//! checked against the bytes left before anything is reserved.
 
-use crate::metrics::{LatencySnapshot, StatsSnapshot};
-use crate::protocol::{ClientMsg, RejectReason, ReqState, ServerMsg, ServiceClass, SubmitReq};
+use crate::metrics::StatsSnapshot;
+#[cfg(test)]
+use crate::protocol::SubmitReq;
+use crate::protocol::{ClientMsg, ServerMsg, ServiceClass};
 use gridband_store::crc32;
 
 /// Connection preamble a binary client sends before its first frame.
@@ -215,549 +222,354 @@ impl FrameBuf {
 }
 
 // ---------------------------------------------------------------------
-// Primitives
+// The encoding
 // ---------------------------------------------------------------------
 
-struct Writer(Vec<u8>);
+pub use serde::Wire;
 
-impl Writer {
-    fn new() -> Writer {
-        Writer(Vec::with_capacity(64))
+/// A value with a binary wire encoding: [`Wire::put`] appends its bytes,
+/// [`Wire::get`] reads them back. `#[derive(Wire)]` writes both for a
+/// struct or an enum from its declaration, so a message's field list is
+/// written once, in its type:
+///
+/// * fields go in declaration order, each through its own impl;
+/// * an enum writes its variant index as one tag byte, then that
+///   variant's fields, and an unknown tag reads as
+///   [`WireError::UnknownTag`];
+/// * `#[wire(trailing)]` marks a field an older frame may omit. Trailing
+///   fields must come last. They are read only while the payload has
+///   bytes left, so the type holding them must itself close the
+///   payload. A trailing `Option` is written only when `Some`, with no
+///   flag byte; any other trailing field is always written and reads as
+///   its `Default` when absent.
+///
+/// ```
+/// use gridband_serve::wire::{decode, encode, Wire};
+///
+/// #[derive(Debug, PartialEq, Wire)]
+/// enum Msg {
+///     Ping,
+///     Grant { id: u64, bw: f64, #[wire(trailing)] note: Option<String> },
+/// }
+///
+/// let msg = Msg::Grant { id: 7, bw: 2.5, note: None };
+/// let bytes = encode(&msg);
+/// assert_eq!(bytes.len(), 1 + 8 + 8);
+/// assert_eq!(decode::<Msg>(&bytes), Ok(msg));
+/// assert_eq!(encode(&Msg::Ping), [0]);
+/// ```
+///
+/// The derive refuses a trailing field that is not last:
+///
+/// ```compile_fail
+/// use gridband_serve::wire::Wire;
+///
+/// #[derive(Wire)]
+/// struct Late {
+///     #[wire(trailing)]
+///     class: u8,
+///     id: u64,
+/// }
+/// ```
+///
+/// and any other `#[wire(...)]` key:
+///
+/// ```compile_fail
+/// use gridband_serve::wire::Wire;
+///
+/// #[derive(Wire)]
+/// struct Tagged {
+///     #[wire(tag = 3)]
+///     id: u64,
+/// }
+/// ```
+///
+/// The impls below cover the field types the messages use. Two message
+/// types are written by hand: [`ServiceClass`], whose codes live beside
+/// it in `gridband-workload`, and [`StatsSnapshot`], whose counter block
+/// comes from the `stats_block!` table in `metrics.rs`.
+pub trait Wire: Sized {
+    /// Append this value's bytes to `out`.
+    fn put(&self, out: &mut Vec<u8>);
+
+    /// Read one value.
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError>;
+
+    /// [`Wire::put`] for a `#[wire(trailing)]` field.
+    fn put_trailing(&self, out: &mut Vec<u8>) {
+        self.put(out);
     }
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.0.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    fn bool(&mut self, v: bool) {
-        self.0.push(v as u8);
-    }
-    fn opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            Some(x) => {
-                self.0.push(1);
-                self.f64(x);
-            }
-            None => self.0.push(0),
+
+    /// [`Wire::get`] for a `#[wire(trailing)]` field: `Default` once the
+    /// payload is exhausted.
+    fn get_trailing(r: &mut Reader<'_>) -> Result<Self, WireError>
+    where
+        Self: Default,
+    {
+        if r.has_more() {
+            Self::get(r)
+        } else {
+            Ok(Self::default())
         }
-    }
-    fn string(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.0.extend_from_slice(s.as_bytes());
     }
 }
 
-struct Reader<'a> {
-    b: &'a [u8],
-    pos: usize,
+/// A cursor over one payload. Every read checks the bytes left first.
+pub struct Reader<'a> {
+    rest: &'a [u8],
 }
 
 impl<'a> Reader<'a> {
-    fn new(b: &'a [u8]) -> Reader<'a> {
-        Reader { b, pos: 0 }
+    fn new(rest: &'a [u8]) -> Reader<'a> {
+        Reader { rest }
     }
+
+    /// The next `n` bytes.
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.b.len() - self.pos < n {
+        if self.rest.len() < n {
             return Err(WireError::Malformed("payload ended mid-field"));
         }
-        let s = &self.b[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Ok(head)
     }
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+
+    /// The next `N` bytes, by value.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        Ok(self.take(N)?.try_into().expect("take returns N bytes"))
     }
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
+        self.rest.len()
     }
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+
+    /// Whether undecoded bytes remain — how a trailing field tells an
+    /// older frame (fields exhausted) from a current one.
+    pub fn has_more(&self) -> bool {
+        self.remaining() > 0
     }
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(u64::from_le_bytes(
-            self.take(8)?.try_into().unwrap(),
-        )))
+
+    /// Every decode ends here: trailing bytes are an error, so a frame
+    /// can never smuggle undecoded content past the codec.
+    fn done(self) -> Result<(), WireError> {
+        if self.has_more() {
+            Err(WireError::Malformed("trailing bytes after message"))
+        } else {
+            Ok(())
+        }
     }
-    fn bool(&mut self) -> Result<bool, WireError> {
-        match self.u8()? {
+}
+
+/// `value`'s bytes.
+pub fn encode<T: Wire>(value: &T) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64);
+    value.put(&mut out);
+    out
+}
+
+/// Read exactly one `T` from `payload`; leftover bytes are an error.
+pub fn decode<T: Wire>(payload: &[u8]) -> Result<T, WireError> {
+    let mut r = Reader::new(payload);
+    let value = T::get(&mut r)?;
+    r.done()?;
+    Ok(value)
+}
+
+macro_rules! wire_int {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok(<$t>::from_le_bytes(r.array()?))
+            }
+        }
+    )*};
+}
+
+wire_int!(u8, u32, u64);
+
+/// Sent as its IEEE-754 bit pattern, so every value round-trips exactly.
+impl Wire for f64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.to_bits().put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(f64::from_bits(u64::get(r)?))
+    }
+}
+
+impl Wire for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self as u8);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match u8::get(r)? {
             0 => Ok(false),
             1 => Ok(true),
             _ => Err(WireError::Malformed("bool byte not 0/1")),
         }
     }
-    fn opt_f64(&mut self) -> Result<Option<f64>, WireError> {
-        match self.u8()? {
+}
+
+/// A `u32` byte count, then UTF-8 bytes.
+impl Wire for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let len = u32::get(r)? as usize;
+        let bytes = r.take(len)?;
+        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Malformed("string not UTF-8"))
+    }
+}
+
+/// A 0/1 flag byte, then the value when present. As a trailing field:
+/// the value alone when present, nothing when absent.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Some(v) => {
+                out.push(1);
+                v.put(out);
+            }
+            None => out.push(0),
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match u8::get(r)? {
             0 => Ok(None),
-            1 => Ok(Some(self.f64()?)),
+            1 => Ok(Some(T::get(r)?)),
             _ => Err(WireError::Malformed("option flag not 0/1")),
         }
     }
-    fn string(&mut self) -> Result<String, WireError> {
-        let len = self.u32()? as usize;
-        if len > MAX_FRAME {
-            return Err(WireError::Malformed("string length exceeds frame bound"));
+    fn put_trailing(&self, out: &mut Vec<u8>) {
+        if let Some(v) = self {
+            v.put(out);
         }
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Malformed("string not UTF-8"))
     }
-    /// Whether undecoded bytes remain — how [`get_submit`] tells a
-    /// pre-class frame (fields exhausted) from a current one (class
-    /// byte still to read).
-    fn has_more(&self) -> bool {
-        self.pos < self.b.len()
-    }
-    /// Every decode ends here: trailing bytes are an error, so a frame
-    /// can never smuggle undecoded content past the codec.
-    fn done(self) -> Result<(), WireError> {
-        if self.pos == self.b.len() {
-            Ok(())
+    fn get_trailing(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        if r.has_more() {
+            Ok(Some(T::get(r)?))
         } else {
-            Err(WireError::Malformed("trailing bytes after message"))
+            Ok(None)
         }
     }
 }
 
-// ---------------------------------------------------------------------
-// Enums
-// ---------------------------------------------------------------------
-
-fn reason_code(r: RejectReason) -> u8 {
-    match r {
-        RejectReason::Saturated => 0,
-        RejectReason::DeadlineUnreachable => 1,
-        RejectReason::Invalid => 2,
-        RejectReason::QueueFull => 3,
-        RejectReason::UnknownRoute => 4,
-        RejectReason::ShuttingDown => 5,
-        RejectReason::NotPrimary => 6,
-        RejectReason::Drained => 7,
+/// A `u32` item count, then the items.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        for v in self {
+            v.put(out);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let n = u32::get(r)? as usize;
+        // Every item takes at least one byte, so a count above the bytes
+        // left is malformed; and the reservation is no larger than those
+        // bytes, so a hostile count cannot outgrow the payload.
+        if n > r.remaining() {
+            return Err(WireError::Malformed("item count exceeds the payload"));
+        }
+        let mut items = Vec::with_capacity(n.min(r.remaining() / size_of::<T>().max(1)));
+        for _ in 0..n {
+            items.push(T::get(r)?);
+        }
+        Ok(items)
     }
 }
 
-fn reason_from(code: u8) -> Result<RejectReason, WireError> {
-    Ok(match code {
-        0 => RejectReason::Saturated,
-        1 => RejectReason::DeadlineUnreachable,
-        2 => RejectReason::Invalid,
-        3 => RejectReason::QueueFull,
-        4 => RejectReason::UnknownRoute,
-        5 => RejectReason::ShuttingDown,
-        6 => RejectReason::NotPrimary,
-        7 => RejectReason::Drained,
-        _ => return Err(WireError::Malformed("unknown reject reason")),
-    })
-}
-
-fn state_code(s: ReqState) -> u8 {
-    match s {
-        ReqState::Pending => 0,
-        ReqState::Accepted => 1,
-        ReqState::Rejected => 2,
-        ReqState::Cancelled => 3,
-        ReqState::Unknown => 4,
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+        self.2.put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok((A::get(r)?, B::get(r)?, C::get(r)?))
     }
 }
 
-fn state_from(code: u8) -> Result<ReqState, WireError> {
-    Ok(match code {
-        0 => ReqState::Pending,
-        1 => ReqState::Accepted,
-        2 => ReqState::Rejected,
-        3 => ReqState::Cancelled,
-        4 => ReqState::Unknown,
-        _ => return Err(WireError::Malformed("unknown request state")),
-    })
-}
-
-// ---------------------------------------------------------------------
-// Client messages
-// ---------------------------------------------------------------------
-
-fn put_submit(w: &mut Writer, s: &SubmitReq) {
-    w.u64(s.id);
-    w.u32(s.ingress);
-    w.u32(s.egress);
-    w.f64(s.volume);
-    w.f64(s.max_rate);
-    w.opt_f64(s.start);
-    w.opt_f64(s.deadline);
-    // The service class travels as a trailing byte. Submit fields are
-    // terminal in both messages that carry them, so a decoder reads the
-    // byte when present and defaults an exhausted (pre-class) payload
-    // to Silver — same version tolerance as the JSON codec.
-    w.u8(s.class.code());
-    // The malleable flag is a second trailing byte, written only when
-    // the field is set — a rigid submission therefore encodes to the
-    // exact bytes a pre-malleable client produced (same tolerance
-    // discipline as the class byte, one generation later).
-    if let Some(m) = s.malleable {
-        w.bool(m);
+/// One byte, [`ServiceClass::code`].
+impl Wire for ServiceClass {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.code().put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        ServiceClass::from_code(u8::get(r)?)
+            .ok_or(WireError::Malformed("unknown service class code"))
     }
 }
 
-fn get_submit(r: &mut Reader) -> Result<SubmitReq, WireError> {
-    Ok(SubmitReq {
-        id: r.u64()?,
-        ingress: r.u32()?,
-        egress: r.u32()?,
-        volume: r.f64()?,
-        max_rate: r.f64()?,
-        start: r.opt_f64()?,
-        deadline: r.opt_f64()?,
-        class: if r.has_more() {
-            ServiceClass::from_code(r.u8()?)
-                .ok_or(WireError::Malformed("unknown service class code"))?
-        } else {
-            ServiceClass::default()
-        },
-        malleable: if r.has_more() { Some(r.bool()?) } else { None },
-    })
+/// Header, counter block, trailer: the block is [`StatsSnapshot::N`]
+/// `u64`s in the order of the table in `metrics.rs`, so that table is
+/// the frame layout.
+impl Wire for StatsSnapshot {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.role.put(out);
+        self.uptime_s.put(out);
+        self.protocol_version.put(out);
+        for v in self.counters() {
+            v.put(out);
+        }
+        self.virtual_time.put(out);
+        self.gc_watermark.put(out);
+        self.decision_latency.put(out);
+        self.fsync.put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let (role, uptime_s, protocol_version) = (String::get(r)?, u64::get(r)?, u32::get(r)?);
+        let mut c = [0u64; StatsSnapshot::N];
+        for v in c.iter_mut() {
+            *v = u64::get(r)?;
+        }
+        Ok(StatsSnapshot {
+            role,
+            uptime_s,
+            protocol_version,
+            virtual_time: Wire::get(r)?,
+            gc_watermark: Wire::get(r)?,
+            decision_latency: Wire::get(r)?,
+            fsync: Wire::get(r)?,
+            ..StatsSnapshot::from_counters(c)
+        })
+    }
 }
+
+// ---------------------------------------------------------------------
+// Messages
+// ---------------------------------------------------------------------
 
 /// Encode a client message payload (version byte + tag + fields).
 pub fn encode_client_payload(msg: &ClientMsg) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u8(WIRE_VERSION);
-    match msg {
-        ClientMsg::Submit(s) => {
-            w.u8(0);
-            put_submit(&mut w, s);
-        }
-        ClientMsg::HoldOpen(s) => {
-            w.u8(1);
-            put_submit(&mut w, s);
-        }
-        ClientMsg::HoldAttach {
-            txn,
-            egress,
-            bw,
-            start,
-            finish,
-            at,
-        } => {
-            w.u8(2);
-            w.u64(*txn);
-            w.u32(*egress);
-            w.f64(*bw);
-            w.f64(*start);
-            w.f64(*finish);
-            w.f64(*at);
-        }
-        ClientMsg::HoldCommit { txn, at } => {
-            w.u8(3);
-            w.u64(*txn);
-            w.f64(*at);
-        }
-        ClientMsg::HoldRelease { txn, at } => {
-            w.u8(4);
-            w.u64(*txn);
-            w.f64(*at);
-        }
-        ClientMsg::Cancel { id } => {
-            w.u8(5);
-            w.u64(*id);
-        }
-        ClientMsg::Query { id } => {
-            w.u8(6);
-            w.u64(*id);
-        }
-        ClientMsg::Stats => w.u8(7),
-        ClientMsg::Drain => w.u8(8),
-        ClientMsg::Promote => w.u8(9),
-        ClientMsg::Amend {
-            id,
-            volume,
-            max_rate,
-            deadline,
-        } => {
-            w.u8(10);
-            w.u64(*id);
-            w.f64(*volume);
-            w.f64(*max_rate);
-            w.opt_f64(*deadline);
-        }
-    }
-    w.0
+    let mut out = encode(&WIRE_VERSION);
+    msg.put(&mut out);
+    out
 }
 
 /// Decode a client payload (as split off a frame by [`FrameBuf`]).
 pub fn decode_client_payload(payload: &[u8]) -> Result<ClientMsg, WireError> {
-    let mut r = Reader::new(payload);
-    let v = r.u8()?;
-    if v != WIRE_VERSION {
-        return Err(WireError::BadVersion(v));
+    match payload.first() {
+        Some(&WIRE_VERSION) => decode(&payload[1..]),
+        Some(&v) => Err(WireError::BadVersion(v)),
+        None => Err(WireError::Malformed("payload ended mid-field")),
     }
-    let tag = r.u8()?;
-    let msg = match tag {
-        0 => ClientMsg::Submit(get_submit(&mut r)?),
-        1 => ClientMsg::HoldOpen(get_submit(&mut r)?),
-        2 => ClientMsg::HoldAttach {
-            txn: r.u64()?,
-            egress: r.u32()?,
-            bw: r.f64()?,
-            start: r.f64()?,
-            finish: r.f64()?,
-            at: r.f64()?,
-        },
-        3 => ClientMsg::HoldCommit {
-            txn: r.u64()?,
-            at: r.f64()?,
-        },
-        4 => ClientMsg::HoldRelease {
-            txn: r.u64()?,
-            at: r.f64()?,
-        },
-        5 => ClientMsg::Cancel { id: r.u64()? },
-        6 => ClientMsg::Query { id: r.u64()? },
-        7 => ClientMsg::Stats,
-        8 => ClientMsg::Drain,
-        9 => ClientMsg::Promote,
-        10 => ClientMsg::Amend {
-            id: r.u64()?,
-            volume: r.f64()?,
-            max_rate: r.f64()?,
-            deadline: r.opt_f64()?,
-        },
-        t => return Err(WireError::UnknownTag(t)),
-    };
-    r.done()?;
-    Ok(msg)
-}
-
-// ---------------------------------------------------------------------
-// Server messages
-// ---------------------------------------------------------------------
-
-fn put_latency(w: &mut Writer, l: &LatencySnapshot) {
-    w.u64(l.count);
-    w.f64(l.mean_ms);
-    w.f64(l.p50_ms);
-    w.f64(l.p95_ms);
-    w.f64(l.p99_ms);
-}
-
-fn get_latency(r: &mut Reader) -> Result<LatencySnapshot, WireError> {
-    Ok(LatencySnapshot {
-        count: r.u64()?,
-        mean_ms: r.f64()?,
-        p50_ms: r.f64()?,
-        p95_ms: r.f64()?,
-        p99_ms: r.f64()?,
-    })
-}
-
-/// Header, counter block, trailer: the block is [`StatsSnapshot::counters`]
-/// in order, so the table in `metrics.rs` is the frame layout.
-fn put_stats(w: &mut Writer, s: &StatsSnapshot) {
-    w.string(&s.role);
-    w.u64(s.uptime_s);
-    w.u32(s.protocol_version);
-    for v in s.counters() {
-        w.u64(v);
-    }
-    w.f64(s.virtual_time);
-    w.opt_f64(s.gc_watermark);
-    put_latency(w, &s.decision_latency);
-    put_latency(w, &s.fsync);
-}
-
-fn get_stats(r: &mut Reader) -> Result<StatsSnapshot, WireError> {
-    let role = r.string()?;
-    let uptime_s = r.u64()?;
-    let protocol_version = r.u32()?;
-    let mut c = [0u64; StatsSnapshot::N];
-    for v in c.iter_mut() {
-        *v = r.u64()?;
-    }
-    Ok(StatsSnapshot {
-        role,
-        uptime_s,
-        protocol_version,
-        virtual_time: r.f64()?,
-        gc_watermark: r.opt_f64()?,
-        decision_latency: get_latency(r)?,
-        fsync: get_latency(r)?,
-        ..StatsSnapshot::from_counters(c)
-    })
 }
 
 /// Encode a server message payload (tag + fields; no version byte — the
 /// client learns the server's dialect from its own preamble).
 pub fn encode_server_payload(msg: &ServerMsg) -> Vec<u8> {
-    let mut w = Writer::new();
-    match msg {
-        ServerMsg::Accepted {
-            id,
-            bw,
-            start,
-            finish,
-        } => {
-            w.u8(0);
-            w.u64(*id);
-            w.f64(*bw);
-            w.f64(*start);
-            w.f64(*finish);
-        }
-        ServerMsg::Rejected {
-            id,
-            reason,
-            retry_after,
-        } => {
-            w.u8(1);
-            w.u64(*id);
-            w.u8(reason_code(*reason));
-            w.opt_f64(*retry_after);
-        }
-        ServerMsg::CancelResult { id, freed } => {
-            w.u8(2);
-            w.u64(*id);
-            w.bool(*freed);
-        }
-        ServerMsg::Status { id, state, alloc } => {
-            w.u8(3);
-            w.u64(*id);
-            w.u8(state_code(*state));
-            match alloc {
-                Some((bw, start, finish)) => {
-                    w.u8(1);
-                    w.f64(*bw);
-                    w.f64(*start);
-                    w.f64(*finish);
-                }
-                None => w.u8(0),
-            }
-        }
-        ServerMsg::HoldOpened {
-            txn,
-            bw,
-            start,
-            finish,
-            expires,
-        } => {
-            w.u8(4);
-            w.u64(*txn);
-            w.f64(*bw);
-            w.f64(*start);
-            w.f64(*finish);
-            w.f64(*expires);
-        }
-        ServerMsg::HoldDenied { txn, reason } => {
-            w.u8(5);
-            w.u64(*txn);
-            w.u8(reason_code(*reason));
-        }
-        ServerMsg::HoldAck { txn, ok } => {
-            w.u8(6);
-            w.u64(*txn);
-            w.bool(*ok);
-        }
-        ServerMsg::Stats(s) => {
-            w.u8(7);
-            put_stats(&mut w, s);
-        }
-        ServerMsg::Draining { pending } => {
-            w.u8(8);
-            w.u64(*pending);
-        }
-        ServerMsg::Promoted { rounds } => {
-            w.u8(9);
-            w.u64(*rounds);
-        }
-        ServerMsg::Error { code, message } => {
-            w.u8(10);
-            w.string(code);
-            w.string(message);
-        }
-        ServerMsg::AcceptedSegments { id, segments } => {
-            w.u8(11);
-            w.u64(*id);
-            w.u32(segments.len() as u32);
-            for (start, end, bw) in segments {
-                w.f64(*start);
-                w.f64(*end);
-                w.f64(*bw);
-            }
-        }
-    }
-    w.0
+    encode(msg)
 }
 
 /// Decode a server payload (as split off a frame by [`FrameBuf`]).
 pub fn decode_server_payload(payload: &[u8]) -> Result<ServerMsg, WireError> {
-    let mut r = Reader::new(payload);
-    let tag = r.u8()?;
-    let msg = match tag {
-        0 => ServerMsg::Accepted {
-            id: r.u64()?,
-            bw: r.f64()?,
-            start: r.f64()?,
-            finish: r.f64()?,
-        },
-        1 => ServerMsg::Rejected {
-            id: r.u64()?,
-            reason: reason_from(r.u8()?)?,
-            retry_after: r.opt_f64()?,
-        },
-        2 => ServerMsg::CancelResult {
-            id: r.u64()?,
-            freed: r.bool()?,
-        },
-        3 => ServerMsg::Status {
-            id: r.u64()?,
-            state: state_from(r.u8()?)?,
-            alloc: match r.u8()? {
-                0 => None,
-                1 => Some((r.f64()?, r.f64()?, r.f64()?)),
-                _ => return Err(WireError::Malformed("option flag not 0/1")),
-            },
-        },
-        4 => ServerMsg::HoldOpened {
-            txn: r.u64()?,
-            bw: r.f64()?,
-            start: r.f64()?,
-            finish: r.f64()?,
-            expires: r.f64()?,
-        },
-        5 => ServerMsg::HoldDenied {
-            txn: r.u64()?,
-            reason: reason_from(r.u8()?)?,
-        },
-        6 => ServerMsg::HoldAck {
-            txn: r.u64()?,
-            ok: r.bool()?,
-        },
-        7 => ServerMsg::Stats(get_stats(&mut r)?),
-        8 => ServerMsg::Draining { pending: r.u64()? },
-        9 => ServerMsg::Promoted { rounds: r.u64()? },
-        10 => ServerMsg::Error {
-            code: r.string()?,
-            message: r.string()?,
-        },
-        11 => {
-            let id = r.u64()?;
-            let n = r.u32()? as usize;
-            // 24 bytes per segment: a hostile count cannot outrun the
-            // frame bound, but check before reserving anyway.
-            if n > MAX_FRAME / 24 {
-                return Err(WireError::Malformed("segment count exceeds frame bound"));
-            }
-            let mut segments = Vec::with_capacity(n);
-            for _ in 0..n {
-                segments.push((r.f64()?, r.f64()?, r.f64()?));
-            }
-            ServerMsg::AcceptedSegments { id, segments }
-        }
-        t => return Err(WireError::UnknownTag(t)),
-    };
-    r.done()?;
-    Ok(msg)
+    decode(payload)
 }
 
 #[cfg(test)]

@@ -309,15 +309,6 @@ impl Engine {
         self.step
     }
 
-    /// Enqueue without blocking; `Err` means the queue is full (the
-    /// caller should report [`RejectReason::QueueFull`]).
-    pub fn try_command(&self, cmd: Command) -> Result<(), Command> {
-        match self.tx.try_send(cmd) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(c)) | Err(TrySendError::Disconnected(c)) => Err(c),
-        }
-    }
-
     /// Decide everything pending and stop the engine thread.
     pub fn shutdown(mut self) {
         self.stop(Command::Shutdown);

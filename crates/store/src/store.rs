@@ -230,11 +230,6 @@ impl Store {
         self.gen
     }
 
-    /// The fsync policy this store was opened with.
-    pub fn fsync_policy(&self) -> FsyncPolicy {
-        self.fsync
-    }
-
     /// Append one framed record; under [`FsyncPolicy::Always`] it is
     /// durable when this returns.
     pub fn append(&mut self, payload: &[u8]) -> StoreResult<Append> {

@@ -94,6 +94,7 @@ impl FollowerCore {
             cfg.topology.clone(),
             cfg.step,
             cfg.history_capacity,
+            Some(&*cfg.dir),
             gen,
             recovered.snapshot.as_deref(),
             &recovered.records,
@@ -342,12 +343,14 @@ impl FollowerCore {
 
     /// Install a shipped snapshot, mirroring the store's own sequence:
     /// durable snapshot first, then a fresh WAL, then sweep our old
-    /// generation.
+    /// generation. A shipped snapshot carries its history inline, so it
+    /// needs no outcome log.
     fn install_snapshot(&mut self, gen: u64, payload: &[u8]) -> StoreResult<()> {
         let (state, _) = EngineState::from_log(
             self.cfg.topology.clone(),
             self.cfg.step,
             self.cfg.history_capacity,
+            None,
             gen,
             Some(payload),
             &[],

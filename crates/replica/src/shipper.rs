@@ -7,7 +7,9 @@
 //! it ships, purely to hash it into divergence beacons: the follower
 //! replays the same bytes through the same code, so matching hashes
 //! prove the standby is bit-identical — and a mismatch is caught within
-//! one beacon interval instead of at failover.
+//! one beacon interval instead of at failover. A snapshot is shipped as
+//! that mirror's export, rebuilt from the snapshot file plus the
+//! outcome log it names, so the follower receives the history inline.
 //!
 //! [`WalShipper`] is the threaded wrapper the daemon runs: it dials the
 //! follower, speaks the handshake, pumps the tail, and reconnects with
@@ -51,6 +53,12 @@ pub struct ShipperConfig {
     /// Emit a divergence beacon every this many shipped records
     /// (0 = only after snapshots).
     pub beacon_every: u64,
+}
+
+/// Whether `e` says a file is gone: an install or an outcome-log
+/// compaction raced the read, and a newer generation is on disk.
+fn is_not_found(e: &StoreError) -> bool {
+    matches!(e, StoreError::Io { source, .. } if source.kind() == std::io::ErrorKind::NotFound)
 }
 
 /// Sans-IO shipping state machine: feed it follower messages, drain the
@@ -219,14 +227,18 @@ impl ShipperCore {
             return Ok(false);
         }
         let before = scan.records.partition_point(|(o, _)| *o < offset);
-        (self.state, _) = EngineState::from_log(
+        (self.state, _) = match EngineState::from_log(
             self.cfg.topology.clone(),
             self.cfg.step,
             self.cfg.history_capacity,
+            Some(&*self.cfg.dir),
             gen,
             snap_payload.as_deref(),
             &scan.records[..before],
-        )?;
+        ) {
+            Err(e) if is_not_found(&e) => return Ok(false),
+            rebuilt => rebuilt?,
+        };
         self.tail.seek(gen, offset);
         self.shipped = Some((gen, offset));
         self.records_since_beacon = 0;
@@ -244,19 +256,26 @@ impl ShipperCore {
         for event in events {
             match event {
                 TailEvent::Snapshot { gen, payload } => {
-                    (self.state, _) = EngineState::from_log(
+                    (self.state, _) = match EngineState::from_log(
                         self.cfg.topology.clone(),
                         self.cfg.step,
                         self.cfg.history_capacity,
+                        Some(&*self.cfg.dir),
                         gen,
                         Some(&payload),
                         &[],
-                    )?;
-                    let file = snap_name(gen);
-                    let crc = crc32(&payload);
-                    let text = String::from_utf8(payload).map_err(|_| {
-                        StoreError::corrupt(&file, 0, "snapshot payload is not UTF-8")
-                    })?;
+                    ) {
+                        // Its outcome log was compacted away: a newer
+                        // snapshot is installed, and the next poll ships it.
+                        Err(e) if is_not_found(&e) => {
+                            self.tail.rewind();
+                            break;
+                        }
+                        rebuilt => rebuilt?,
+                    };
+                    let image = self.state.export().encode();
+                    let crc = crc32(&image);
+                    let text = String::from_utf8(image).expect("a JSON image is UTF-8");
                     let seq = self.next_seq();
                     out.push(ShipMsg::Snapshot {
                         seq,

@@ -423,11 +423,12 @@ impl EngineLoop {
         if let Some(cfg) = store_cfg {
             // Rebuild the pre-crash state through the replay the
             // replication mirrors run, and fold it into the live metrics.
-            let (store, recovered) = Store::open(cfg.dir, cfg.fsync)?;
-            let (st, tally) = EngineState::from_log(
+            let (store, recovered) = Store::open(cfg.dir.clone(), cfg.fsync)?;
+            let (mut st, tally) = EngineState::from_log(
                 this.config.topology.clone(),
                 this.config.step,
                 this.config.history_capacity,
+                Some(&*cfg.dir),
                 recovered.gen,
                 recovered.snapshot.as_deref(),
                 &recovered.records,
@@ -441,6 +442,11 @@ impl EngineLoop {
             }
             m.breakpoints_live
                 .store(st.ledger.breakpoint_count() as u64, Ordering::Relaxed);
+            // The journal feeds each snapshot's outcome-log append, so
+            // an engine that never snapshots keeps none.
+            if cfg.snapshot_every > 0 {
+                st.keep_journal();
+            }
             this.st = st;
             this.snapshot_every = cfg.snapshot_every;
             this.store = Some(store);
@@ -1383,7 +1389,7 @@ impl EngineLoop {
                 self.metrics.record_wal_append(a.bytes, a.fsync);
                 self.rounds_since_snapshot += 1;
                 if self.snapshot_every > 0 && self.rounds_since_snapshot >= self.snapshot_every {
-                    match store.install_snapshot(&self.st.export().encode()) {
+                    match self.install_snapshot(&mut store) {
                         Ok(_) => {
                             MetricsRegistry::inc(&self.metrics.snapshots_written);
                             self.rounds_since_snapshot = 0;
@@ -1405,6 +1411,21 @@ impl EngineLoop {
         };
         self.store = Some(store);
         ok
+    }
+
+    /// Install a snapshot whose history is the outcome log: append the
+    /// outcomes journaled since the previous snapshot to it — or, on this
+    /// store's first snapshot and once the log holds more than twice the
+    /// history bound, start a fresh one from the current history — then
+    /// install the snapshot that names the log's new length.
+    fn install_snapshot(&mut self, store: &mut Store) -> StoreResult<u64> {
+        let journal = self.st.take_journal();
+        let bound = 2 * self.config.history_capacity as u64;
+        let hist = match store.outcome_log_entries() {
+            Some(entries) if entries <= bound => store.append_outcomes(journal)?,
+            _ => store.start_outcome_log(self.st.outcomes())?,
+        };
+        store.install_snapshot(&self.st.snapshot(hist).encode())
     }
 
     /// Append a non-round record (cancel / early-reject) to the WAL.

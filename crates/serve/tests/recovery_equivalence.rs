@@ -391,13 +391,19 @@ fn every_wal_prefix_recovers_without_phantom_capacity() {
         .filter(|f| f.starts_with("snap-"))
         .max()
         .map(|name| (name.clone(), dir.contents(name).unwrap()));
+    // The snapshot's history lives in the outcome log it names.
+    let hist: Vec<(String, Vec<u8>)> = files
+        .iter()
+        .filter(|f| f.starts_with("hist-"))
+        .map(|name| (name.clone(), dir.contents(name).unwrap()))
+        .collect();
     let wal = dir.contents(&wal_name).unwrap();
 
     let mut cuts: Vec<usize> = (0..=wal.len()).step_by(11).collect();
     cuts.extend([wal.len().saturating_sub(1), wal.len()]);
     for cut in cuts {
         let prefix_dir = Arc::new(MemDir::new());
-        if let Some((name, bytes)) = &snap {
+        for (name, bytes) in snap.iter().chain(&hist) {
             prefix_dir.put(name, bytes.clone());
         }
         prefix_dir.put(&wal_name, wal[..cut].to_vec());

@@ -15,16 +15,18 @@
 //!   corrupt *mid-log* record fails with [`StoreError::Corrupt`] and its
 //!   exact byte offset.
 //! * [`store`] — [`Store`]: generation-numbered WAL +
-//!   snapshot files, fsync policies, and log truncation once a snapshot
-//!   is durable.
+//!   snapshot files, the append-only outcome log that keeps the
+//!   decided-request history out of snapshots, fsync policies, and log
+//!   truncation once a snapshot is durable.
 //! * [`tail`] — [`WalTail`]: a read-only cursor that
 //!   tails a live store for newly installed snapshots and appended
 //!   records, tolerating in-flight torn tails; the primary-side source
 //!   of `gridband-replica`'s WAL shipping stream.
 //! * [`records`] — the typed payloads the serve engine logs: one
 //!   [`WalRecord::Round`] per admission round (its whole decision batch
-//!   in one atomic record), plus cancels and early rejects, and the
-//!   [`EngineSnapshot`] state image.
+//!   in one atomic record), plus cancels and early rejects, the
+//!   [`EngineSnapshot`] state image, and the outcome log's
+//!   [`WalRecord::Outcomes`] batches.
 //!
 //! The correctness bar, proven by `gridband-serve`'s
 //! recovery-equivalence tests: a daemon killed at any round boundary or
@@ -44,9 +46,12 @@ pub mod wal;
 pub use dir::{Dir, DirSignal, FsDir, MemDir};
 pub use error::{StoreError, StoreResult};
 pub use records::{
-    EngineSnapshot, HoldState, RequestOutcome, RoundDecision, WalRecord, SNAPSHOT_MIN_VERSION,
-    SNAPSHOT_VERSION,
+    EngineSnapshot, HistRef, HoldState, RequestOutcome, RoundDecision, WalRecord, OUTCOME_ENTRY,
+    SNAPSHOT_MIN_VERSION, SNAPSHOT_VERSION,
 };
-pub use store::{snap_name, wal_name, Append, FsyncPolicy, Recovered, Store, StoreConfig};
+pub use store::{
+    hist_name, read_outcome_log, snap_name, wal_name, Append, FsyncPolicy, Recovered, Store,
+    StoreConfig,
+};
 pub use tail::{TailCursor, TailEvent, WalTail};
 pub use wal::crc32;

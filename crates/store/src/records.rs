@@ -12,7 +12,10 @@
 //!
 //! Payloads are serialized as JSON (via the vendored `serde_json`, whose
 //! float formatting round-trips `f64` bit-exactly) and framed/checksummed
-//! by the [`wal`](crate::wal) layer. Corruption that survives the CRC —
+//! by the [`wal`](crate::wal) layer. The one exception is
+//! [`WalRecord::Outcomes`], the record of the outcome log, which is
+//! binary: a JSON payload always opens with `{`, so the first byte tells
+//! the two apart. Corruption that survives the CRC —
 //! possible only through version drift or a writer bug — is still
 //! reported as a precise [`StoreError::Corrupt`] with the record's byte
 //! offset, never a panic.
@@ -37,15 +40,23 @@ use serde::{Deserialize, Serialize};
 /// v4: the ledger carries live *segmented* (malleable) reservations and
 /// rounds may log segmented grants ([`RoundDecision::AcceptSegments`])
 /// and mid-flight renegotiations ([`RoundDecision::Amend`]).
-pub const SNAPSHOT_VERSION: u32 = 4;
+///
+/// v5: a snapshot the engine writes leaves the decided-request history
+/// out (`states` is empty) and names, in [`EngineSnapshot::hist`], how far
+/// the append-only outcome log reached when it was taken. An image with
+/// `hist: None` — every v2–v4 image, and the engine's export that
+/// replication ships — carries the history inline in `states`, as before.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Oldest snapshot version this build still decodes. A v2 image differs
 /// from v3 only by the absent ledger `watermark` field (deserialized as
 /// `None` — "never collected") and by not being compacted; a v3 image
 /// from v4 only by the absent ledger `live_seg` field (deserialized as
 /// `None` — "no segmented reservations", which is exactly what a
-/// pre-malleable daemon had). The engine handles both, so a daemon
-/// upgraded across either change recovers its pre-upgrade durable state.
+/// pre-malleable daemon had); a v4 image from v5 only by the absent
+/// `hist` field (deserialized as `None` — "the history is inline"). The
+/// engine handles each, so a daemon upgraded across any of these changes
+/// recovers its pre-upgrade durable state.
 /// Versions below this had a different ledger layout and are refused.
 pub const SNAPSHOT_MIN_VERSION: u32 = 2;
 
@@ -167,10 +178,23 @@ pub enum WalRecord {
         /// The new watermark (virtual seconds); watermarks only advance.
         watermark: f64,
     },
+    /// A batch of the outcome log (`hist-<n>`, never the WAL): decided
+    /// states in the order they were recorded, replayed oldest first so
+    /// that the last write of an id wins. Encoded in binary, 9 bytes an
+    /// entry (see [`WalRecord::encode`]).
+    Outcomes(Vec<(u64, RequestOutcome)>),
 }
 
-/// Terminal outcome of a request, kept in the snapshot so `Query`
-/// replies survive recovery.
+/// First payload byte of a binary [`WalRecord::Outcomes`]; a JSON payload
+/// opens with `{` instead.
+const OUTCOMES_TAG: u8 = 0x01;
+
+/// Bytes of one binary outcome entry: the id (u64 LE), then its state.
+pub const OUTCOME_ENTRY: usize = 9;
+
+/// Terminal outcome of a request, kept in the snapshot (or the outcome
+/// log) so `Query` replies survive recovery. Declaration order is the
+/// state byte of a binary [`WalRecord::Outcomes`] entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RequestOutcome {
     /// Admitted (and still live or already finished).
@@ -203,10 +227,26 @@ pub struct EngineSnapshot {
     /// Map of request id → live reservation id.
     pub accepted: Vec<(u64, u64)>,
     /// Terminal outcomes, oldest first (bounded by the engine's history
-    /// capacity).
+    /// capacity). Empty when `hist` is set: the outcome log holds them.
     pub states: Vec<(u64, RequestOutcome)>,
     /// Live two-phase holds by transaction id, sorted by `txn`.
     pub holds: Vec<HoldState>,
+    /// v5: the outcome log this snapshot's history lives in, and its
+    /// length when the snapshot was taken; `None` when `states` carries
+    /// the history inline (every v2–v4 image, and every export).
+    pub hist: Option<HistRef>,
+}
+
+/// Where an outcome log stood when a snapshot was taken: recovery
+/// replays the records of `hist-<log>` up to byte `len` and ignores
+/// whatever was appended after.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct HistRef {
+    /// The log's number: its file is `hist-<log>`.
+    pub log: u64,
+    /// Length of the log in bytes (magic included) when the snapshot was
+    /// taken.
+    pub len: u64,
 }
 
 /// One live two-phase hold in an [`EngineSnapshot`]: the engine-side
@@ -238,21 +278,65 @@ fn decode_json<T: Deserialize>(
 }
 
 impl WalRecord {
-    /// Serialize to the byte payload handed to [`Store::append`].
+    /// Serialize to the byte payload handed to [`Store::append`]: JSON,
+    /// except for [`WalRecord::Outcomes`], which is a tag byte and then
+    /// each entry's id (u64 LE) and [`RequestOutcome`] code (one byte).
     ///
     /// [`Store::append`]: crate::store::Store::append
     pub fn encode(&self) -> Vec<u8> {
+        if let WalRecord::Outcomes(entries) = self {
+            let mut out = Vec::with_capacity(1 + OUTCOME_ENTRY * entries.len());
+            out.push(OUTCOMES_TAG);
+            for &(id, outcome) in entries {
+                out.extend_from_slice(&id.to_le_bytes());
+                out.push(outcome as u8);
+            }
+            return out;
+        }
         serde_json::to_string(self)
             .expect("WAL record serialization is infallible")
             .into_bytes()
     }
 
-    /// Decode a payload recovered from the WAL. `file`/`offset` locate
-    /// the record for the [`StoreError::Corrupt`] this returns when a
+    /// Decode a payload recovered from the WAL or the outcome log,
+    /// binary or JSON by its first byte. `file`/`offset` locate the
+    /// record for the [`StoreError::Corrupt`] this returns when a
     /// CRC-valid payload does not parse.
     pub fn decode(file: &str, offset: u64, payload: &[u8]) -> StoreResult<Self> {
-        decode_json("WAL record", file, offset, payload)
+        match payload.split_first() {
+            Some((&OUTCOMES_TAG, body)) => decode_outcomes(file, offset, body),
+            _ => decode_json("WAL record", file, offset, payload),
+        }
     }
+}
+
+fn decode_outcomes(file: &str, offset: u64, body: &[u8]) -> StoreResult<WalRecord> {
+    if !body.len().is_multiple_of(OUTCOME_ENTRY) {
+        return Err(StoreError::corrupt(
+            file,
+            offset,
+            format!("outcome batch of {} bytes is not whole entries", body.len()),
+        ));
+    }
+    body.chunks_exact(OUTCOME_ENTRY)
+        .map(|entry| {
+            let id = u64::from_le_bytes(entry[..8].try_into().expect("8 bytes"));
+            let outcome = match entry[8] {
+                0 => RequestOutcome::Accepted,
+                1 => RequestOutcome::Rejected,
+                2 => RequestOutcome::Cancelled,
+                code => {
+                    return Err(StoreError::corrupt(
+                        file,
+                        offset,
+                        format!("unknown outcome code {code} for request #{id}"),
+                    ))
+                }
+            };
+            Ok((id, outcome))
+        })
+        .collect::<StoreResult<_>>()
+        .map(WalRecord::Outcomes)
 }
 
 impl EngineSnapshot {
@@ -363,6 +447,12 @@ mod tests {
             WalRecord::Gc {
                 watermark: 0.1 + 0.2, // deliberately non-representable sum
             },
+            WalRecord::Outcomes(vec![
+                (u64::MAX, RequestOutcome::Cancelled),
+                (u64::from(b'{'), RequestOutcome::Accepted),
+                (3, RequestOutcome::Rejected),
+            ]),
+            WalRecord::Outcomes(vec![]),
         ] {
             let bytes = rec.encode();
             let back = WalRecord::decode("w", 8, &bytes).unwrap();
@@ -396,10 +486,17 @@ mod tests {
                 expires: 20.0,
                 committed: false,
             }],
+            hist: None,
         };
         let bytes = snap.encode();
         let back = EngineSnapshot::decode("s", &bytes).unwrap();
         assert_eq!(back, snap);
+        let v5 = EngineSnapshot {
+            states: vec![],
+            hist: Some(HistRef { log: 7, len: 1234 }),
+            ..snap.clone()
+        };
+        assert_eq!(EngineSnapshot::decode("s", &v5.encode()).unwrap(), v5);
 
         for bad in [SNAPSHOT_MIN_VERSION - 1, SNAPSHOT_VERSION + 1] {
             let mut stale = snap.clone();
@@ -427,6 +524,7 @@ mod tests {
             accepted: vec![(3, 0)],
             states: vec![(3, RequestOutcome::Accepted)],
             holds: vec![],
+            hist: None,
         };
         let text = String::from_utf8(snap.encode()).unwrap();
         assert!(text.contains(",\"watermark\":null"), "encoding drifted");
@@ -434,7 +532,8 @@ mod tests {
         let v2 = text
             .replace(",\"watermark\":null", "")
             .replace(",\"live_seg\":null", "")
-            .replace("\"version\":4", "\"version\":2");
+            .replace(",\"hist\":null", "")
+            .replace(&format!("\"version\":{SNAPSHOT_VERSION}"), "\"version\":2");
         let back = EngineSnapshot::decode("s", v2.as_bytes()).unwrap();
         let mut want = snap;
         want.version = 2;
@@ -460,12 +559,14 @@ mod tests {
             accepted: vec![(3, 0)],
             states: vec![(3, RequestOutcome::Accepted)],
             holds: vec![],
+            hist: None,
         };
         let text = String::from_utf8(snap.encode()).unwrap();
         assert!(text.contains(",\"live_seg\":null"), "encoding drifted");
         let v3 = text
             .replace(",\"live_seg\":null", "")
-            .replace("\"version\":4", "\"version\":3");
+            .replace(",\"hist\":null", "")
+            .replace(&format!("\"version\":{SNAPSHOT_VERSION}"), "\"version\":3");
         let back = EngineSnapshot::decode("s", v3.as_bytes()).unwrap();
         let mut want = snap;
         want.version = 3;
@@ -476,7 +577,17 @@ mod tests {
 
     #[test]
     fn garbage_payloads_are_corrupt_not_panics() {
-        for junk in [&b"\xFF\xFE"[..], b"{\"Round\":", b"42", b"{\"Nope\":{}}"] {
+        for junk in [
+            &b"\xFF\xFE"[..],
+            b"{\"Round\":",
+            b"42",
+            b"{\"Nope\":{}}",
+            b"",
+            // An outcome batch cut inside an entry, and one whose state
+            // byte names no outcome.
+            &[OUTCOMES_TAG, 1, 0, 0, 0, 0],
+            &[OUTCOMES_TAG, 1, 0, 0, 0, 0, 0, 0, 0, 3],
+        ] {
             match WalRecord::decode("w", 16, junk) {
                 Err(StoreError::Corrupt { offset: 16, .. }) => {}
                 other => panic!("expected Corrupt at 16, got {other:?}"),

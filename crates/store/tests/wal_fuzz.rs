@@ -63,6 +63,7 @@ fn sample_snapshot() -> EngineSnapshot {
         accepted: vec![],
         states: vec![],
         holds: vec![],
+        hist: None,
     }
 }
 

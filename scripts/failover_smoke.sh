@@ -8,7 +8,11 @@
 # pre-kill acceptance flipped or changed its allocation, and this script
 # additionally diffs the end-to-end accept counts against an
 # uninterrupted solo reference run: a hot standby taking over must be
-# indistinguishable from a primary that never died.
+# indistinguishable from a primary that never died. The primary and the
+# follower snapshot every 2 rounds, so the follower is seeded from
+# snapshots whose history the shipper read from the primary's outcome
+# log, and the promoted engine starts one of its own; the reference run
+# keeps the default cadence.
 #
 # Usage: scripts/failover_smoke.sh
 set -euo pipefail
@@ -49,11 +53,11 @@ PRIMARY_PID=""
 
 echo "== primary + hot standby: submit, sync, SIGKILL primary, promote, resume ==" >&2
 "$GRIDBAND" serve --addr "127.0.0.1:$FOLLOWER_PORT" --wal-dir "$WORK/wal-follower" \
-    --follow "127.0.0.1:$REPL_PORT" &
+    --follow "127.0.0.1:$REPL_PORT" --snapshot-every 2 &
 FOLLOWER_PID=$!
 wait_port "$FOLLOWER_PORT"
 "$GRIDBAND" serve --addr "127.0.0.1:$PRIMARY_PORT" --wal-dir "$WORK/wal-primary" \
-    --replicate-to "127.0.0.1:$REPL_PORT" &
+    --replicate-to "127.0.0.1:$REPL_PORT" --snapshot-every 2 &
 PRIMARY_PID=$!
 wait_port "$PRIMARY_PORT"
 

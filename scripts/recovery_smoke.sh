@@ -4,7 +4,10 @@
 # directory, and finish the workload with `loadgen --resume`. The resume
 # phase hard-fails if any pre-kill acceptance flipped or changed its
 # allocation, and this script additionally diffs the end-to-end
-# accept counts against an uninterrupted reference run.
+# accept counts against an uninterrupted reference run. The crashed run
+# snapshots every 2 rounds, so the kill lands after several snapshots and
+# recovery reads a snapshot, the outcome log it names and a WAL tail; the
+# reference run keeps the default cadence.
 #
 # Usage: scripts/recovery_smoke.sh
 set -euo pipefail
@@ -41,7 +44,8 @@ wait "$DAEMON_PID" 2>/dev/null || true
 DAEMON_PID=""
 
 echo "== crashed run: submit, SIGKILL at ~round 5, restart, resume ==" >&2
-"$GRIDBAND" serve --addr "127.0.0.1:$RUN_PORT" --wal-dir "$WORK/wal" &
+"$GRIDBAND" serve --addr "127.0.0.1:$RUN_PORT" --wal-dir "$WORK/wal" \
+    --snapshot-every 2 &
 DAEMON_PID=$!
 wait_port "$RUN_PORT"
 "$LOADGEN" --addr "127.0.0.1:$RUN_PORT" --requests "$REQS" --seed "$SEED" \
@@ -51,7 +55,8 @@ wait "$DAEMON_PID" 2>/dev/null || true
 DAEMON_PID=""
 
 # A fresh port sidesteps TIME_WAIT on the killed listener.
-"$GRIDBAND" serve --addr "127.0.0.1:$RESTART_PORT" --wal-dir "$WORK/wal" &
+"$GRIDBAND" serve --addr "127.0.0.1:$RESTART_PORT" --wal-dir "$WORK/wal" \
+    --snapshot-every 2 &
 DAEMON_PID=$!
 wait_port "$RESTART_PORT"
 "$LOADGEN" --addr "127.0.0.1:$RESTART_PORT" --resume --state "$WORK/resume.json" \

@@ -24,7 +24,7 @@ use gridband_replica::{
     ShipperConfig, ShipperCore, WalShipper,
 };
 use gridband_serve::engine::Command;
-use gridband_serve::protocol::{decode_server, encode_client};
+use gridband_serve::protocol::{decode_server, encode_client, ReqState};
 use gridband_serve::{
     ClientMsg, Engine, EngineConfig, EngineState, FsyncPolicy, MemDir, MetricsRegistry,
     RejectReason, Role, ServerMsg, StoreConfig, SubmitReq,
@@ -1221,6 +1221,18 @@ fn history_changes_survive_promotion_and_a_restart() {
     }
     let ids: Vec<u64> = (1..=4).chain(11..=14).collect();
     let answers = p.query(&ids);
+    use ReqState::*;
+    let states: Vec<ReqState> = (answers.values())
+        .map(|m| match m {
+            ServerMsg::Status { state, .. } => *state,
+            other => panic!("Query answered {other:?}"),
+        })
+        .collect();
+    // The resubmitted id 3 keeps its grant.
+    assert_eq!(
+        states,
+        [Cancelled, Cancelled, Accepted, Cancelled].repeat(2)
+    );
     let clock = p.clock;
     p.engine.kill();
 
@@ -1246,5 +1258,88 @@ fn history_changes_survive_promotion_and_a_restart() {
     f.engine.kill();
     let mut f = promote();
     assert_eq!(f.query(&ids), answers, "after a restart");
+    f.engine.kill();
+}
+
+/// Every byte the store holds, file by file.
+fn store_bytes(dir: &MemDir) -> BTreeMap<String, Vec<u8>> {
+    (dir.list().expect("list").into_iter())
+        .map(|name| {
+            let bytes = dir.read(&name).expect("read");
+            (name, bytes)
+        })
+        .collect()
+}
+
+/// Resubmitting an id — after a lost reply, say — is refused as
+/// `Invalid` and changes nothing: no WAL record, and `Query` still
+/// answers the first submission's grant with its allocation, live,
+/// after a restart and on a promoted follower.
+#[test]
+fn a_resubmitted_id_keeps_its_first_outcome() {
+    let primary_dir = Arc::new(MemDir::new());
+    let mut p = EngineClient::new(Engine::spawn(config(primary_dir.clone(), 64, None)));
+    p.submit(submit_at(1, (0, 1), 4_000.0, 1.0));
+    p.tick();
+    let granted = p.query(&[1]);
+    assert!(
+        matches!(
+            granted[&1],
+            ServerMsg::Status {
+                state: ReqState::Accepted,
+                alloc: Some(_),
+                ..
+            }
+        ),
+        "{granted:?}"
+    );
+    // A second submission of id 2 while the first waits for its round.
+    p.submit(submit_at(2, (1, 0), 100.0, p.clock + 1.0));
+    let before = store_bytes(&primary_dir);
+    for id in [1, 2] {
+        let again = p.call(ClientMsg::Submit(submit_at(id, (0, 0), 1.0, p.clock + 2.0)));
+        let refused = ServerMsg::Rejected {
+            id,
+            reason: RejectReason::Invalid,
+            retry_after: None,
+        };
+        assert_eq!(again, refused, "the reply to a resubmitted id");
+    }
+    assert_eq!(p.query(&[1]), granted, "live");
+    assert!(
+        store_bytes(&primary_dir) == before,
+        "a resubmission wrote to the store"
+    );
+    p.tick();
+    assert!(
+        matches!(
+            p.query(&[2])[&2],
+            ServerMsg::Status {
+                state: ReqState::Accepted,
+                ..
+            }
+        ),
+        "the pending id is decided by its round"
+    );
+    let clock = p.clock;
+    p.engine.kill();
+
+    let mut p = EngineClient::new(
+        Engine::try_spawn(config(primary_dir.clone(), 64, None)).expect("the store recovers"),
+    );
+    assert_eq!(p.query(&[1]), granted, "after a restart");
+    p.engine.kill();
+
+    let follower_dir = Arc::new(MemDir::new());
+    replicate(
+        primary_dir.clone(),
+        follower_dir.clone(),
+        FaultPlan::default(),
+    );
+    let mut cfg = config(follower_dir, 64, None);
+    cfg.role = Role::Primary;
+    let mut f = EngineClient::new(Engine::try_spawn(cfg).expect("the follower's store recovers"));
+    f.clock = clock;
+    assert_eq!(f.query(&[1]), granted, "on a promoted follower");
     f.engine.kill();
 }

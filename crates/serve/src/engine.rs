@@ -28,7 +28,7 @@ use gridband_algos::WindowScheduler;
 use gridband_flex::FlexSpec;
 use gridband_net::units::EPS;
 use gridband_net::SegSpan;
-use gridband_net::{EgressId, NetError, NetResult, PortRef, Route, Topology};
+use gridband_net::{CapacityLedger, EgressId, NetError, NetResult, PortRef, Route, Topology};
 use gridband_qos::{AcceptedTransfer, QosConfig, Redistributor};
 use gridband_sim::{AdmissionController, Decision};
 use gridband_store::{
@@ -645,12 +645,16 @@ impl EngineLoop {
 
     /// Refuse a submission before any round sees it: count it, record it
     /// `Rejected`, log the `EarlyReject`, and reply — unless the log
-    /// write failed, which halts the engine unreplied.
+    /// write failed, which halts the engine unreplied. A resubmitted id
+    /// (decided, or still pending) is answered alike but neither recorded
+    /// nor logged: its first submission's outcome stands.
     fn reject_early(&mut self, id: u64, reason: RejectReason, reply: &ReplySink) {
         MetricsRegistry::inc(&self.metrics.refused_early);
-        self.st.record_state(id, ReqState::Rejected);
-        if !self.log_event(WalRecord::EarlyReject { id }) {
-            return;
+        if !self.is_known(id) {
+            self.st.record_state(id, ReqState::Rejected);
+            if !self.log_event(WalRecord::EarlyReject { id }) {
+                return;
+            }
         }
         self.send_reply(
             reply,
@@ -864,10 +868,16 @@ impl EngineLoop {
         self.send_reply(&reply, ServerMsg::HoldAck { txn, ok: true });
     }
 
+    /// Whether a submission already took this id: it is decided, or
+    /// waits for a round.
+    fn is_known(&self, id: u64) -> bool {
+        self.pending.contains_key(&id) || self.flex_pending(id) || self.st.knows(id)
+    }
+
     /// Non-panicking mirror of `Request::new`'s contract; a daemon must
     /// survive hostile input that would assert in the library constructor.
     fn validate(&self, s: &SubmitReq, start: f64) -> Result<Request, RejectReason> {
-        if self.pending.contains_key(&s.id) || self.flex_pending(s.id) || self.st.knows(s.id) {
+        if self.is_known(s.id) {
             return Err(RejectReason::Invalid);
         }
         if !(s.volume.is_finite()
@@ -1081,6 +1091,9 @@ impl EngineLoop {
             entries.push(entry);
         }
         let outcomes = self.st.apply_decisions(&self.round_log);
+        // Found at the round's first saturated reject: nothing books or
+        // frees capacity again before its last one.
+        let mut port_ends: Option<PortEnds> = None;
         for (i, (entry, outcome)) in entries.iter().zip(outcomes).enumerate() {
             let id = entry.req.id.0;
             let reason = match self.round_log[i] {
@@ -1123,7 +1136,18 @@ impl EngineLoop {
                 _ if entry.req.required_rate_from(t).is_none() => RejectReason::DeadlineUnreachable,
                 _ => RejectReason::Saturated,
             };
-            self.reject(entry, reason, t);
+            // `apply_decisions` already recorded the rejection.
+            MetricsRegistry::inc(&self.metrics.rejected);
+            if entry.cancelled {
+                continue;
+            }
+            let retry_after = match reason {
+                RejectReason::Saturated => port_ends
+                    .get_or_insert_with(|| PortEnds::after(&self.st.ledger, t))
+                    .retry_hint(&entry.req, self.st.next_tick),
+                _ => None,
+            };
+            self.park_rejected(&entry.reply, id, reason, retry_after);
         }
     }
 
@@ -1448,20 +1472,6 @@ impl EngineLoop {
         }
     }
 
-    /// Count and answer a rigid rejection; `apply_decisions` already
-    /// recorded it.
-    fn reject(&mut self, entry: &PendingEntry, reason: RejectReason, t: f64) {
-        MetricsRegistry::inc(&self.metrics.rejected);
-        if entry.cancelled {
-            return;
-        }
-        let retry_after = match reason {
-            RejectReason::Saturated => self.retry_hint(&entry.req, t),
-            _ => None,
-        };
-        self.park_rejected(&entry.reply, entry.req.id.0, reason, retry_after);
-    }
-
     /// Hold a rejection back until the round record is durable.
     fn park_rejected(
         &mut self,
@@ -1488,21 +1498,48 @@ impl EngineLoop {
             MetricsRegistry::inc(&self.metrics.replies_dropped);
         }
     }
+}
 
-    /// Backpressure hint: the earliest time a port of this route frees
-    /// capacity (the soonest-ending overlapping reservation), bounded to
-    /// the next round; `None` when no retry can still meet the deadline.
-    fn retry_hint(&self, req: &Request, t: f64) -> Option<f64> {
-        let mut earliest: Option<f64> = None;
-        for (_, r) in self.st.ledger.live_reservations() {
-            if r.end > t
-                && (r.route.ingress == req.route.ingress || r.route.egress == req.route.egress)
-            {
-                earliest = Some(earliest.map_or(r.end, |e: f64| e.min(r.end)));
+/// The earliest end after the round's instant of any live rigid plan, on
+/// each ingress and each egress port (`INFINITY` where there is none):
+/// one pass over the ledger's plans serves every saturated rejection of
+/// a round. Malleable plans and holds are not counted.
+struct PortEnds {
+    ingress: Vec<f64>,
+    egress: Vec<f64>,
+}
+
+impl PortEnds {
+    fn after(ledger: &CapacityLedger, t: f64) -> PortEnds {
+        let topology = ledger.topology();
+        let mut ends = PortEnds {
+            ingress: vec![f64::INFINITY; topology.num_ingress()],
+            egress: vec![f64::INFINITY; topology.num_egress()],
+        };
+        for (_, r) in ledger.live_reservations() {
+            if r.end > t {
+                let i = &mut ends.ingress[r.route.ingress.index()];
+                *i = i.min(r.end);
+                let e = &mut ends.egress[r.route.egress.index()];
+                *e = e.min(r.end);
             }
         }
-        let hint = earliest.unwrap_or(self.st.next_tick).max(self.st.next_tick);
-        // A retry decided after the deadline-feasible window is pointless.
+        ends
+    }
+
+    /// Backpressure hint for a saturated rejection: the earliest end
+    /// after the round of a live rigid plan on either port of the
+    /// route, or `next_tick` if there is none, and never before
+    /// `next_tick`. The request may still not fit then. `None` when a
+    /// retry decided that late can no longer meet the deadline.
+    fn retry_hint(&self, req: &Request, next_tick: f64) -> Option<f64> {
+        let route = req.route;
+        let earliest = self.ingress[route.ingress.index()].min(self.egress[route.egress.index()]);
+        let hint = if earliest.is_finite() {
+            earliest.max(next_tick)
+        } else {
+            next_tick
+        };
         let latest_useful = req.finish() - req.volume / req.max_rate;
         (hint < latest_useful).then_some(hint)
     }
@@ -1604,28 +1641,195 @@ mod tests {
         engine.shutdown();
     }
 
-    #[test]
-    fn saturated_rejection_carries_a_retry_hint() {
-        let engine = engine_1x1(100.0, 10.0);
-        // Fill the port for [10, 110): 10_000 MB at 100 MB/s.
-        let a = rpc_all_no_drain(&engine, vec![submit(1, 0.0, 10_000.0, 100.0, 200.0)], 12.0);
-        assert!(matches!(a[0], ServerMsg::Accepted { .. }), "{:?}", a[0]);
-        // Competing request with a roomy deadline: rejected now, retry
-        // possible once the big transfer ends.
-        let b = rpc_all_no_drain(&engine, vec![submit(2, 15.0, 100.0, 100.0, 500.0)], 22.0);
-        match &b[0] {
+    fn submit_on(
+        id: u64,
+        route: (u32, u32),
+        start: f64,
+        volume: f64,
+        max_rate: f64,
+        deadline: f64,
+    ) -> SubmitReq {
+        SubmitReq {
+            id,
+            ingress: route.0,
+            egress: route.1,
+            volume,
+            max_rate,
+            start: Some(start),
+            deadline: Some(deadline),
+            class: Default::default(),
+            malleable: None,
+        }
+    }
+
+    fn retry_after_of(msg: &ServerMsg) -> Option<f64> {
+        match msg {
             ServerMsg::Rejected {
-                reason,
+                reason: RejectReason::Saturated,
                 retry_after,
                 ..
-            } => {
-                assert_eq!(*reason, RejectReason::Saturated);
-                let hint = retry_after.expect("retryable rejection must carry a hint");
-                assert!(hint >= 110.0, "hint {hint} must not precede the free-up");
-            }
-            other => panic!("expected rejection, got {other:?}"),
+            } => *retry_after,
+            other => panic!("expected a saturated rejection, got {other:?}"),
         }
+    }
+
+    /// The hint is the earliest end after the round of a live rigid plan
+    /// on either port of the route, and never before the next round.
+    #[test]
+    fn saturated_rejection_carries_a_retry_hint() {
+        let mut cfg = EngineConfig::new(Topology::uniform(3, 3, 100.0));
+        cfg.step = 10.0;
+        cfg.malleable = true;
+        let engine = Engine::spawn(cfg);
+        // Decided at t = 10, each granted its max rate from 10: ports
+        // in0/eg0 carry [10, 20) and [10, 110) at 50 each, in1/eg1
+        // [10, 40) and [10, 60) at 50 each, and a malleable plan fills
+        // in2/eg2 over [10, 40).
+        let grants = rpc_all_no_drain(
+            &engine,
+            vec![
+                ClientMsg::Submit(submit_on(1, (0, 0), 1.0, 500.0, 50.0, 100.0)),
+                ClientMsg::Submit(submit_on(2, (0, 0), 1.0, 5_000.0, 50.0, 200.0)),
+                ClientMsg::Submit(submit_on(3, (1, 1), 1.0, 1_500.0, 50.0, 100.0)),
+                ClientMsg::Submit(submit_on(4, (1, 1), 1.0, 2_500.0, 50.0, 100.0)),
+                ClientMsg::Submit(SubmitReq {
+                    malleable: Some(true),
+                    ..submit_on(5, (2, 2), 5.0, 3_000.0, 100.0, 40.0)
+                }),
+            ],
+            12.0,
+        );
+        for g in &grants[..4] {
+            assert!(
+                matches!(g, ServerMsg::Accepted { start: 10.0, .. }),
+                "{g:?}"
+            );
+        }
+        assert!(
+            matches!(&grants[4], ServerMsg::AcceptedSegments { segments, .. }
+                if segments == &[(10.0, 40.0, 100.0)]),
+            "{:?}",
+            grants[4]
+        );
+        // Decided at t = 20, with the next round at 30.
+        let round = rpc_all_no_drain(
+            &engine,
+            vec![
+                // in0's earliest end after 20 is 110 (the plan ending
+                // exactly at 20 does not count), eg1's is 40: the route's
+                // two ports differ and the hint takes the sooner.
+                ClientMsg::Submit(submit_on(11, (0, 1), 15.0, 100.0, 100.0, 500.0)),
+                // Needs 51.3 of in0/eg0's 50: the hint is 110, not the
+                // plan that ended at 20 (that would clamp to 30).
+                ClientMsg::Submit(submit_on(12, (0, 0), 15.0, 10_000.0, 100.0, 215.0)),
+                // As above, but starting by 25 is the last chance.
+                ClientMsg::Submit(submit_on(13, (0, 0), 15.0, 1_000.0, 100.0, 35.0)),
+                // in2/eg2 are full, but of no rigid plan: the next round.
+                ClientMsg::Submit(submit_on(14, (2, 2), 15.0, 100.0, 100.0, 500.0)),
+            ],
+            22.0,
+        );
+        let hints: Vec<Option<f64>> = round.iter().map(retry_after_of).collect();
+        assert_eq!(hints, [Some(40.0), Some(110.0), None, Some(30.0)]);
+        // Free eg1's plan ending at 40, then let `Drain` force the round
+        // at 30: its hint must see the ledger as it is then (eg1's
+        // earliest end is now 60), not the round at 20's minima.
+        let last = rpc_all(
+            &engine,
+            vec![
+                ClientMsg::Cancel { id: 3 },
+                ClientMsg::Submit(submit_on(15, (0, 1), 25.0, 6_000.0, 100.0, 140.0)),
+            ],
+        );
+        assert!(
+            matches!(last[0], ServerMsg::CancelResult { freed: true, .. }),
+            "{:?}",
+            last[0]
+        );
+        assert_eq!(retry_after_of(&last[1]), Some(60.0));
         engine.shutdown();
+    }
+
+    /// The per-reject scan that [`PortEnds`] replaced: every live rigid
+    /// plan on either port of the route, once per rejection.
+    fn retry_hint_by_scan(
+        ledger: &CapacityLedger,
+        req: &Request,
+        t: f64,
+        next_tick: f64,
+    ) -> Option<f64> {
+        let mut earliest: Option<f64> = None;
+        for (_, r) in ledger.live_reservations() {
+            if r.end > t
+                && (r.route.ingress == req.route.ingress || r.route.egress == req.route.egress)
+            {
+                earliest = Some(earliest.map_or(r.end, |e: f64| e.min(r.end)));
+            }
+        }
+        let hint = earliest.unwrap_or(next_tick).max(next_tick);
+        let latest_useful = req.finish() - req.volume / req.max_rate;
+        (hint < latest_useful).then_some(hint)
+    }
+
+    /// One pass per round gives every hint bit for bit as one scan per
+    /// rejection did, over ledgers with rigid and stepwise plans, some
+    /// freed, at instants on and between plan ends.
+    #[test]
+    fn port_ends_match_the_per_reject_scan() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut checked = 0;
+        for seed in 0..40 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut ledger = CapacityLedger::new(Topology::uniform(3, 4, 100.0));
+            let mut ends = Vec::new();
+            for _ in 0..30 {
+                let route = Route::new(rng.gen_range(0u32..3), rng.gen_range(0u32..4));
+                let start = rng.gen_range(0.0..50.0f64).floor();
+                let end = start + rng.gen_range(1.0..60.0f64).floor();
+                let bw = rng.gen_range(5.0..40.0);
+                let booked = if rng.gen_range(0u32..4) == 0 {
+                    let mid = (start + end) / 2.0;
+                    let spans = [
+                        SegSpan {
+                            start,
+                            end: mid,
+                            bw,
+                        },
+                        SegSpan {
+                            start: mid,
+                            end,
+                            bw: bw / 2.0,
+                        },
+                    ];
+                    ledger.reserve_segments(route, &spans)
+                } else {
+                    ledger.reserve(route, start, end, bw)
+                };
+                if let Ok(id) = booked {
+                    ends.push(end);
+                    if rng.gen_range(0u32..6) == 0 {
+                        ledger.free(id).unwrap();
+                    }
+                }
+            }
+            for t in ends.iter().copied().chain([0.0, 17.5, 33.0, 200.0]) {
+                let next_tick = t + 10.0;
+                let port_ends = PortEnds::after(&ledger, t);
+                for (i, e) in (0..3).flat_map(|i| (0..4).map(move |e| (i, e))) {
+                    let window = TimeWindow::new(t, t + rng.gen_range(20.0..150.0));
+                    let req = Request::new(0, Route::new(i, e), window, 200.0, 20.0);
+                    let got = port_ends.retry_hint(&req, next_tick);
+                    let want = retry_hint_by_scan(&ledger, &req, t, next_tick);
+                    assert_eq!(
+                        got.map(f64::to_bits),
+                        want.map(f64::to_bits),
+                        "seed {seed} t {t}"
+                    );
+                    checked += got.is_some() as usize;
+                }
+            }
+        }
+        assert!(checked > 1000, "only {checked} hints compared");
     }
 
     /// A grant shorter than the ledger's time resolution (1e-9 MB at

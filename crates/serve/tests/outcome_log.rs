@@ -1,8 +1,8 @@
 //! The decided-request history across restarts: snapshots leave it out
 //! and name the append-only outcome log instead, so every change to it —
-//! including a cancel or a refusal that re-records an id decided long
-//! before — must reach that log, and recovery must answer `Query` exactly
-//! as the live engine did.
+//! including a cancel that re-records an id decided long before — must
+//! reach that log, and recovery must answer `Query` exactly as the live
+//! engine did.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
@@ -141,15 +141,16 @@ impl Client {
 
 /// Run the history-change scenario against a store in `dir`: decide ids,
 /// let a snapshot pass, change them — a cancel of a live rigid plan, a
-/// cancel of a live malleable plan, a cancel of a pending submission and
-/// an early reject of an already-decided id — and let a second snapshot
+/// cancel of a live malleable plan, a cancel of a pending submission, and
+/// a resubmission of an already-decided id, which is refused and must
+/// leave that id's grant as it was — and let a second snapshot
 /// pass; then change a second set the same way and stop before the next
 /// snapshot, so those changes are only in the WAL. Returns the ids and
 /// what `Query` answers for them, and leaves the engine running at the
 /// returned clock.
 fn change_history(client: &mut Client) -> (Vec<u64>, BTreeMap<u64, ServerMsg>, f64) {
     // Set one is ids 1–4, set two ids 11–14: a rigid plan, a malleable
-    // plan, one to refuse later, and one cancelled while pending.
+    // plan, one resubmitted later, and one cancelled while pending.
     for base in [0, 10] {
         client.submit(rigid(base + 1, (0, 1), 4_000.0, 10.0, 1.0));
         client.submit(malleable(base + 2, (1, 1), 8_000.0, 20.0, 2.0));
@@ -200,7 +201,7 @@ fn change_history(client: &mut Client) -> (Vec<u64>, BTreeMap<u64, ServerMsg>, f
         .collect();
     assert_eq!(
         states,
-        [Cancelled, Cancelled, Rejected, Cancelled].repeat(2),
+        [Cancelled, Cancelled, Accepted, Cancelled].repeat(2),
         "the changes took effect live"
     );
     (ids, answers, t)

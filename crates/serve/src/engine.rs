@@ -137,8 +137,11 @@ impl EngineConfig {
 /// Where a connection's replies go: a bounded channel plus an optional
 /// waker. The poll-loop server parks its reader threads in `poll(2)`;
 /// without the waker a reply could sit in the channel until the next
-/// timeout. The engine rings the waker after every successful send so
-/// the owning thread wakes and writes the reply out immediately.
+/// timeout. An inline reply (a `Status`, a `CancelResult`, an early
+/// reject, …) rings the waker as soon as it is queued. An admission
+/// round queues all its replies first and then rings each distinct
+/// waker they touched once — one wake per I/O loop per round, however
+/// many replies the round sent there.
 /// Thread-per-connection callers (tests, benches, `EngineLink`) build
 /// one straight from a `Sender` via `From` and never pay for a waker.
 #[derive(Clone)]
@@ -148,7 +151,9 @@ pub struct ReplySink {
 }
 
 impl ReplySink {
-    /// A sink that wakes `waker` after each reply lands in the channel.
+    /// A sink that wakes `waker` once a reply has landed in the channel.
+    /// Sinks that share one `Arc` (the connections of one I/O loop) are
+    /// woken once per round between them.
     pub fn with_waker(tx: Sender<ServerMsg>, waker: Arc<dyn Fn() + Send + Sync>) -> ReplySink {
         ReplySink {
             tx,
@@ -1046,9 +1051,25 @@ impl EngineLoop {
             self.dead = true;
             return;
         }
-        let replies = std::mem::take(&mut self.round_replies);
-        for (reply, msg) in replies {
-            self.send_reply(&reply, msg);
+        // Queue the round's replies in decision order without waking
+        // anyone, then ring each I/O loop's waker once: the loop drains
+        // every reply of the round on that one wake.
+        let mut wakers: Vec<Arc<dyn Fn() + Send + Sync>> = Vec::new();
+        for (reply, msg) in self.round_replies.drain(..) {
+            match reply.tx.try_send(msg) {
+                Ok(()) => {
+                    if let Some(w) = reply.waker {
+                        if !wakers.iter().any(|seen| Arc::ptr_eq(seen, &w)) {
+                            wakers.push(w);
+                        }
+                    }
+                }
+                Err(TrySendError::Full(_)) => MetricsRegistry::inc(&self.metrics.replies_dropped),
+                Err(TrySendError::Disconnected(_)) => {}
+            }
+        }
+        for wake in wakers {
+            wake();
         }
         self.gc_round(t);
         if self.dead {
@@ -1488,11 +1509,14 @@ impl EngineLoop {
         self.round_replies.push((reply.clone(), msg));
     }
 
-    /// Deliver a reply without ever blocking the engine. Reply channels
-    /// are bounded and client-paced: a client that stops reading its
-    /// socket fills its channel, and a blocking send there would stall
-    /// admission for every connection. Full ⇒ drop the reply and count
-    /// it; the client can recover the state via `Query`.
+    /// Deliver an inline reply (one sent outside a round) without ever
+    /// blocking the engine, and wake its connection's I/O loop at once.
+    /// Reply channels are bounded and client-paced: a client that stops
+    /// reading its socket fills its channel, and a blocking send there
+    /// would stall admission for every connection. Full ⇒ drop the reply
+    /// and count it; the client can recover the state via `Query`.
+    /// `run_round` applies the same rule to a round's replies but rings
+    /// each waker once for the whole round.
     fn send_reply(&self, reply: &ReplySink, msg: ServerMsg) {
         if let Err(TrySendError::Full(_)) = reply.try_send(msg) {
             MetricsRegistry::inc(&self.metrics.replies_dropped);
@@ -1637,6 +1661,110 @@ mod tests {
                 assert_eq!(finish, 15.0);
             }
             other => panic!("expected acceptance, got {other:?}"),
+        }
+        engine.shutdown();
+    }
+
+    /// A round rings each waker its replies touched once, after the last
+    /// of them is queued, however many replies it sent there; an inline
+    /// reply rings its waker at once. Sinks 0 and 1 share one waker (two
+    /// connections of one I/O loop), sink 2 has its own and is sent work
+    /// on even intervals only. After each interval's submissions, whose
+    /// first one fires the round deciding the previous interval, one
+    /// inline `Query` goes to a sink in turn; a `Query` on a plain sink
+    /// then fences the engine before the counts are read.
+    #[test]
+    fn a_round_rings_each_waker_once() {
+        use std::sync::atomic::AtomicUsize;
+        const ROUNDS: u64 = 6;
+        let mut cfg = EngineConfig::new(Topology::uniform(2, 2, 100.0));
+        cfg.step = 10.0;
+        let engine = Engine::spawn(cfg);
+        let rings = [Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0))];
+        let waker = |n: &Arc<AtomicUsize>| -> Arc<dyn Fn() + Send + Sync> {
+            let n = n.clone();
+            Arc::new(move || {
+                n.fetch_add(1, Ordering::SeqCst);
+            })
+        };
+        let (shared, own) = (waker(&rings[0]), waker(&rings[1]));
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..3).map(|_| channel::unbounded()).unzip();
+        let sinks = [
+            ReplySink::with_waker(txs[0].clone(), shared.clone()),
+            ReplySink::with_waker(txs[1].clone(), shared),
+            ReplySink::with_waker(txs[2].clone(), own),
+        ];
+        let ring_of = [0, 0, 1];
+        let send = |msg: ClientMsg, sink: usize| {
+            (engine.sender())
+                .send(Command::Client {
+                    msg,
+                    reply: sinks[sink].clone(),
+                })
+                .expect("engine alive");
+        };
+        let mut want = [0usize; 2];
+        let mut id = 0u64;
+        let mut prev: [Vec<u64>; 3] = Default::default();
+        for r in 0..=ROUNDS {
+            let mut cur: [Vec<u64>; 3] = Default::default();
+            let inline = (r % 3) as usize;
+            if r < ROUNDS {
+                for (k, sink) in [0usize, 1, 0, 2, 1].into_iter().enumerate() {
+                    if sink == 2 && r % 2 == 1 {
+                        continue;
+                    }
+                    id += 1;
+                    let start = 10.0 * r as f64 + 1.0 + k as f64;
+                    send(submit(id, start, 100.0, 50.0, start + 50.0), sink);
+                    cur[sink].push(id);
+                }
+                send(ClientMsg::Query { id: 1_000 + r }, inline);
+            } else {
+                send(ClientMsg::Drain, inline);
+            }
+            match rpc(&engine, ClientMsg::Query { id: 0 }) {
+                ServerMsg::Status { id: 0, .. } => {}
+                other => panic!("expected the fence's status, got {other:?}"),
+            }
+            let mut touched = [false; 2];
+            for (s, rx) in rxs.iter().enumerate() {
+                let got: Vec<ServerMsg> = rx.try_iter().collect();
+                let (decided, tail) = got.split_at(got.len() - usize::from(s == inline));
+                let mut ids: Vec<u64> = (decided.iter())
+                    .map(|m| match m {
+                        ServerMsg::Accepted { id, .. } | ServerMsg::Rejected { id, .. } => *id,
+                        other => panic!("round {r}, sink {s}: expected a decision, got {other:?}"),
+                    })
+                    .collect();
+                ids.sort_unstable();
+                assert_eq!(
+                    ids, prev[s],
+                    "round {r}, sink {s}: the previous interval's ids"
+                );
+                touched[ring_of[s]] |= !ids.is_empty();
+                if let [last] = tail {
+                    let expected = if r < ROUNDS {
+                        matches!(last, ServerMsg::Status { id, .. } if *id == 1_000 + r)
+                    } else {
+                        matches!(last, ServerMsg::Draining { .. })
+                    };
+                    assert!(
+                        expected,
+                        "round {r}, sink {s}: inline reply last, got {last:?}"
+                    );
+                    want[ring_of[s]] += 1;
+                }
+            }
+            for (w, t) in want.iter_mut().zip(touched) {
+                *w += usize::from(t);
+            }
+            let got = [0, 1].map(|i| rings[i].load(Ordering::SeqCst));
+            assert_eq!(
+                got, want,
+                "after interval {r}: rings of [shared, own] waker"
+            );
+            prev = cur;
         }
         engine.shutdown();
     }

@@ -6,9 +6,11 @@
 //! of a small pool of I/O loop threads (round-robin). Each loop thread
 //! parks in `poll(2)` over its connections plus a wake pipe: readable
 //! sockets are drained and batch-decoded straight into the engine
-//! queue, and replies landing on a connection's bounded reply channel
-//! ring the wake pipe (via the engine-side [`ReplySink`] waker) so the
-//! loop wakes and writes them from the per-connection outbound buffer.
+//! queue. Replies land on each connection's bounded reply channel, and
+//! the engine rings the loop's wake pipe (through the [`ReplySink`]
+//! waker) so the loop wakes and writes them from the per-connection
+//! outbound buffer: once per admission round for all of the round's
+//! replies to that loop's connections, and once per inline reply.
 //! No thread ever blocks on a client.
 //!
 //! Two codecs share the port. A connection whose first bytes are the
@@ -223,10 +225,9 @@ impl Server {
         // drain round decides pending work (making it durable) and drops
         // the per-connection reply sinks it holds. Only then join the
         // snapshotter.
-        for (conn_tx, waker) in &loops {
-            // Dropping the sender is not enough: the loop blocks in
-            // poll(2), not on the channel. Ring the pipe.
-            drop(conn_tx.clone());
+        for (_, waker) in &loops {
+            // The loops block in poll(2), not on a channel: ring each
+            // pipe so its loop wakes, sees the stop flag and exits.
             waker.wake();
         }
         for t in threads {
@@ -249,10 +250,12 @@ struct ConnConfig {
 }
 
 /// Write end of an I/O loop's wake pipe. The engine thread rings it
-/// (through a [`ReplySink`] waker) after parking a reply; the loop
-/// thread drains it at the top of every iteration. Nonblocking: once
-/// the pipe buffer holds a byte the loop is guaranteed to wake, so a
-/// `WouldBlock` here means the wake is already pending.
+/// (through a [`ReplySink`] waker) once after queueing a round's replies
+/// to this loop's connections, and once per inline reply; the acceptor
+/// rings it after handing over a socket and at shutdown. The loop thread
+/// drains it after every `poll`. Nonblocking: once the pipe buffer holds
+/// a byte the loop is guaranteed to wake, so a `WouldBlock` here means
+/// the wake is already pending.
 struct WakePipe(UnixStream);
 
 impl WakePipe {

@@ -60,7 +60,7 @@ fn stream() -> Vec<ClientMsg> {
             }
         }
         let roll = rng.gen_range(0u32..100);
-        if roll < 15 || roll >= 85 {
+        if !(15..85).contains(&roll) {
             let pick = rng.gen_range(0u32..3);
             let id = match pick {
                 0 if !pending.is_empty() => pending[rng.gen_range(0..pending.len())].0,

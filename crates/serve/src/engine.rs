@@ -278,8 +278,16 @@ impl Engine {
                 let tx = tx.clone();
                 let stop = ticker_stop.clone();
                 Some(std::thread::spawn(move || {
+                    // Round k is due at start + k·tick. Sleeping a whole
+                    // tick after each send would add every late wake-up
+                    // to all later rounds, so the virtual clock would
+                    // fall behind wall time by however late the host
+                    // wakes the thread. A round that falls due while an
+                    // earlier one is still queued is sent at once.
+                    let mut due = Instant::now();
                     while !stop.load(Ordering::Relaxed) {
-                        std::thread::sleep(tick);
+                        due += tick;
+                        std::thread::sleep(due.saturating_duration_since(Instant::now()));
                         if stop.load(Ordering::Relaxed) || tx.send(Command::Tick).is_err() {
                             break;
                         }
@@ -2337,6 +2345,30 @@ mod tests {
                     s.virtual_time
                 );
             }
+            other => panic!("expected stats, got {other:?}"),
+        }
+        engine.shutdown();
+    }
+
+    /// Round k falls due at start + k·tick, so late wake-ups do not add
+    /// up: after a second of 1 ms ticks the engine has run about a
+    /// thousand rounds, not one per tick plus the host's wake-up delay.
+    #[test]
+    fn realtime_ticker_keeps_pace_with_wall_time() {
+        let mut cfg = EngineConfig::new(Topology::uniform(1, 1, 100.0));
+        cfg.mode = TimeMode::RealTime {
+            tick: Duration::from_millis(1),
+        };
+        let started = Instant::now();
+        let engine = Engine::spawn(cfg);
+        std::thread::sleep(Duration::from_secs(1));
+        let due = started.elapsed().as_millis() as u64;
+        match rpc(&engine, ClientMsg::Stats) {
+            ServerMsg::Stats(s) => assert!(
+                s.ticks + 40 >= due,
+                "{} rounds in {due} ms of 1 ms ticks",
+                s.ticks
+            ),
             other => panic!("expected stats, got {other:?}"),
         }
         engine.shutdown();

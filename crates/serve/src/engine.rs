@@ -1,7 +1,6 @@
 //! The single-writer admission engine.
 //!
-//! One thread owns the [`CapacityLedger`](gridband_net::CapacityLedger)
-//! and a [`WindowScheduler`];
+//! One thread owns the [`CapacityLedger`] and a [`WindowScheduler`];
 //! everything else talks to it through a bounded command channel. This is
 //! the daemon-shaped version of Algorithm 3: submissions received during
 //! one `t_step` interval are decided together at the interval boundary

@@ -277,12 +277,10 @@ impl Engine {
                 let tx = tx.clone();
                 let stop = ticker_stop.clone();
                 Some(std::thread::spawn(move || {
-                    // Round k is due at start + k·tick. Sleeping a whole
-                    // tick after each send would add every late wake-up
-                    // to all later rounds, so the virtual clock would
-                    // fall behind wall time by however late the host
-                    // wakes the thread. A round that falls due while an
-                    // earlier one is still queued is sent at once.
+                    // Round k is due at start + k·tick, so a late wake-up
+                    // delays that round only and the virtual clock keeps
+                    // pace with wall time; rounds already due when the
+                    // ticker runs late go out back to back.
                     let mut due = Instant::now();
                     while !stop.load(Ordering::Relaxed) {
                         due += tick;
